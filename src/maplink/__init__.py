@@ -22,12 +22,9 @@ from .pipeline import (
 )
 from .proposal import (
     ParameterVector,
-    PilotProposal,
-    PopulationPrior,
     TabulatedProposal,
     VhkGrid,
     adapt_population_proposal,
-    build_pilot_proposal,
     default_vh_k_grid,
     load_vh_k_grid,
     population_prior_density,
@@ -36,9 +33,7 @@ from .proposal import (
 from .reweight import (
     DegenerateWeightsError,
     ErndConfig,
-    PrevalenceSamples,
     StepCdf,
-    SupportViolationError,
     WeightVector,
     apply_ernd,
     discrepancy_ernd,
@@ -48,7 +43,6 @@ from .reweight import (
     integrated_squared_distance,
     ks_distance,
     select_delta,
-    stage1_weights,
 )
 from .transmission import (
     ModelParams,

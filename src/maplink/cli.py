@@ -18,7 +18,6 @@ import argparse
 import json
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,7 @@ import numpy as np
 from . import io as mio
 from .pipeline import (
     WeightConfig,
-    estimated_population,
+    ordered_map,
     pool_and_filter,
     project,
     weight_all,
@@ -40,44 +39,23 @@ from .transmission import (
     run_to_equilibrium,
 )
 
-_SIM_STATE: dict = {}
-
-
-def _simulate_init(thetas, params, scenarios, seed_children):
-    _SIM_STATE.update(
-        thetas=thetas, params=params, scenarios=scenarios, children=seed_children
-    )
-
-
-def _simulate_one(sim_index: int):
+def _simulate_one(shared, sim_index: int):
     """Equilibrium plus one trajectory per scenario for one parameter draw.
 
     The scenario generator is seeded identically for every scenario of a
     simulation, so intervention effects are compared under matched random
     numbers.
     """
-    theta = _SIM_STATE["thetas"][sim_index]
-    params = _SIM_STATE["params"]
-    eq_seed, scenario_seed = _SIM_STATE["children"][sim_index].spawn(2)
+    thetas, params, scenarios, seed_pairs = shared
+    theta = thetas[sim_index]
+    eq_seed, scenario_seed = seed_pairs[sim_index]
     prevalence, state = run_to_equilibrium(theta, params, np.random.default_rng(eq_seed))
     trajectories = {}
-    for scenario in _SIM_STATE["scenarios"]:
+    for scenario in scenarios:
         trajectories[scenario.name] = run_scenario(
             state, scenario, theta, params, np.random.default_rng(scenario_seed)
         )
-    return sim_index, prevalence, trajectories
-
-
-def _run_sims(indices, thetas, params, scenarios, children, workers):
-    if workers <= 1:
-        _simulate_init(thetas, params, scenarios, children)
-        return [_simulate_one(i) for i in indices]
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_simulate_init,
-        initargs=(thetas, params, scenarios, children),
-    ) as pool:
-        return list(pool.map(_simulate_one, indices, chunksize=4))
+    return prevalence, trajectories
 
 
 def cmd_simulate(args) -> int:
@@ -113,23 +91,28 @@ def cmd_simulate(args) -> int:
         np.array([t.population for t in thetas], dtype=np.int64)
     )
     scenarios = config.scenario_objects()
-    children = np.random.SeedSequence(config.seed).spawn(
-        config.j_simulations + max(config.pilot_simulations, 0)
-    )
+    # one (equilibrium, scenario) seed pair per simulation, spawned once here:
+    # spawning mutates a SeedSequence, so spawning inside a run would tie the
+    # seeds to how often, and in which process, a simulation had run before
+    seed_pairs = [
+        child.spawn(2)
+        for child in np.random.SeedSequence(config.seed).spawn(
+            config.j_simulations + max(config.pilot_simulations, 0)
+        )
+    ]
 
     if config.pilot_simulations > 0:
         # constant-importation pilot runs feed the per-scenario decay tables
-        pilot_children = children[config.j_simulations:]
         pilot_thetas = thetas[: config.pilot_simulations]
-        decayed = []
-        for scenario in scenarios:
-            results = _run_sims(
-                range(len(pilot_thetas)), pilot_thetas, params, [scenario],
-                pilot_children, args.workers,
-            )
-            pilot_traj = np.stack([r[2][scenario.name] for r in results])
-            decayed.append(scenario.with_decay(importation_decay_from_pilot(pilot_traj)))
-        scenarios = decayed
+        results = ordered_map(
+            _simulate_one,
+            (pilot_thetas, params, scenarios, seed_pairs[config.j_simulations:]),
+            len(pilot_thetas), args.workers, chunksize=4,
+        )
+        scenarios = [
+            s.with_decay(importation_decay_from_pilot(np.stack([r[1][s.name] for r in results])))
+            for s in scenarios
+        ]
 
     shard_size = config.simulate_shard_size
     shard_entries = []
@@ -145,13 +128,13 @@ def cmd_simulate(args) -> int:
             ):
                 shard_entries.append({k: entry[k] for k in ("index", "first_sim_id", "j", "files")})
                 continue
-        results = _run_sims(
-            range(start, stop), thetas, params, scenarios, children, args.workers
+        results = ordered_map(
+            _simulate_one, (thetas[start:stop], params, scenarios, seed_pairs[start:stop]),
+            stop - start, args.workers, chunksize=4,
         )
-        results.sort(key=lambda r: r[0])
-        eq = np.array([r[1] for r in results])
+        eq = np.array([r[0] for r in results])
         traj = {
-            s.name: np.stack([r[2][s.name] for r in results]) for s in scenarios
+            s.name: np.stack([r[1][s.name] for r in results]) for s in scenarios
         }
         entry = mio.write_bank_shard(
             out, shard_index, start, thetas[start:stop], proposal_mass[start:stop], eq, traj
@@ -215,10 +198,7 @@ def cmd_weight(args) -> int:
             caught.append(f"unit {w.unit_id}: low effective sample size {w.ess:.1f}")
 
     mio.save_weights(out, units, weights)
-    with open(out / "excluded_pixels.csv", "w") as fh:
-        fh.write("# schema: maplink/excluded-pixels v1\npixel_id\n")
-        for pixel_id in excluded:
-            fh.write(pixel_id + "\n")
+    mio.write_excluded_pixels(out / "excluded_pixels.csv", excluded)
     mio.write_manifest(
         out,
         {
@@ -266,11 +246,7 @@ def cmd_project(args) -> int:
     mio.write_proportion_eliminated_csv(
         out / "proportion_eliminated.csv", summaries, config.probability_thresholds
     )
-    with open(out / "population_recovery.csv", "w", newline="") as fh:
-        fh.write("# schema: maplink/population-recovery v1\n")
-        fh.write("unit_id,estimated_population,ess\n")
-        for w in sorted(weights, key=lambda w: w.unit_id):
-            fh.write(f"{w.unit_id},{estimated_population(w, bank)!r},{w.ess!r}\n")
+    mio.write_population_recovery(out / "population_recovery.csv", weights, bank)
     mio.write_manifest(
         out,
         {
@@ -305,32 +281,12 @@ def cmd_toy_validate(args) -> int:
             )
             rows.append(summarize_reports(reports))
             raw_rows.extend(reports)
-    with open(out / "toy_table.csv", "w", newline="") as fh:
-        fh.write("# schema: maplink/toy-table v1\n")
-        fh.write(
-            "proposal,ernd,isd_x1000_median,isd_x1000_lo,isd_x1000_hi,isd_x1000_mean,"
-            "ess_median,ess_lo,ess_hi,ess_mean\n"
-        )
-        for row in rows:
-            isd, ess_band = row["isd_x1000"], row["ess"]
-            fh.write(
-                f"{row['proposal']},{row['ernd']},{isd['median']!r},{isd['lo']!r},"
-                f"{isd['hi']!r},{isd['mean']!r},{ess_band['median']!r},{ess_band['lo']!r},"
-                f"{ess_band['hi']!r},{ess_band['mean']!r}\n"
-            )
-    with open(out / "toy_replicates.csv", "w", newline="") as fh:
-        fh.write("# schema: maplink/toy-replicates v1\n")
-        fh.write("proposal,ernd,replicate,ks,isd,ess,delta\n")
-        for r in raw_rows:
-            delta = "" if r.delta is None else repr(r.delta)
-            fh.write(
-                f"{r.proposal_kind},{r.ernd_kind},{r.replicate_seed},{r.ks!r},{r.isd!r},"
-                f"{r.ess!r},{delta}\n"
-            )
+    mio.write_toy_table(out / "toy_table.csv", rows)
+    mio.write_toy_replicates(out / "toy_replicates.csv", raw_rows)
     mio.write_manifest(
         out,
         {
-            "schema": "maplink/toy-table v1",
+            "schema": mio.SCHEMA_VERSIONS["toy_table"],
             "seed": args.seed,
             "m": args.m,
             "j": args.j,

@@ -20,9 +20,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .pipeline import PixelPosterior, PixelWeights, PooledUnit, ProjectionSummary, SimulationBank
+from .pipeline import (
+    PixelPosterior,
+    PixelWeights,
+    PooledUnit,
+    ProjectionSummary,
+    SimulationBank,
+    estimated_population,
+)
 from .proposal import ParameterVector, TabulatedProposal
 from .reweight import ErndConfig
+from .toy import ToyExperimentReport
 from .transmission import ModelParams, Scenario
 
 __all__ = [
@@ -39,9 +47,13 @@ __all__ = [
     "save_weights",
     "write_bank_shard",
     "write_elimination_csv",
+    "write_excluded_pixels",
     "write_manifest",
+    "write_population_recovery",
     "write_proportion_eliminated_csv",
     "write_summary_csv",
+    "write_toy_replicates",
+    "write_toy_table",
 ]
 
 SCHEMA_VERSIONS = {
@@ -52,6 +64,10 @@ SCHEMA_VERSIONS = {
     "weights": "maplink/weights v1",
     "summary": "maplink/summary v1",
     "elimination": "maplink/elimination v1",
+    "excluded": "maplink/excluded-pixels v1",
+    "recovery": "maplink/population-recovery v1",
+    "toy_table": "maplink/toy-table v1",
+    "toy_replicates": "maplink/toy-replicates v1",
 }
 
 
@@ -139,6 +155,10 @@ class RunConfig:
             raise ValueError("need at least one simulation and one year")
         if self.ernd_kind not in ("distance", "histogram", "discrepancy"):
             raise ValueError(f"unknown ERND kind {self.ernd_kind!r}")
+        if not 0.0 < self.population_log_sd < float("inf"):
+            raise ValueError(
+                f"population_log_sd must be positive and finite, got {self.population_log_sd!r}"
+            )
         if not 0.0 < self.elimination_threshold < 1.0:
             raise ValueError("elimination threshold must lie in (0, 1)")
         if any(not 0.0 < t <= 1.0 for t in self.probability_thresholds):
@@ -446,6 +466,14 @@ def save_weights(directory: Path, units: Sequence[PooledUnit],
             )
 
 
+def write_excluded_pixels(path: Path, excluded: Sequence[str]) -> None:
+    """Ids of the pixels dropped for exceeding the maximum population."""
+    with open(path, "w") as fh:
+        fh.write(f"# schema: {SCHEMA_VERSIONS['excluded']}\npixel_id\n")
+        for pixel_id in excluded:
+            fh.write(pixel_id + "\n")
+
+
 def load_weights(directory: Path) -> list[PixelWeights]:
     directory = Path(directory)
     indices = np.load(directory / "indices.npy")
@@ -505,6 +533,17 @@ def write_summary_csv(path: Path, summaries: Sequence[ProjectionSummary]) -> Non
                 )
 
 
+def write_population_recovery(
+    path: Path, weights: Sequence[PixelWeights], bank: SimulationBank
+) -> None:
+    """Weighted mean simulated population and ESS per unit, by unit id."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# schema: {SCHEMA_VERSIONS['recovery']}\n")
+        fh.write("unit_id,estimated_population,ess\n")
+        for w in sorted(weights, key=lambda w: w.unit_id):
+            fh.write(f"{w.unit_id},{estimated_population(w, bank)!r},{w.ess!r}\n")
+
+
 def read_summary_rows(path: Path) -> list[dict]:
     with _open_schema_csv(Path(path), "summary") as fh:
         return list(csv.DictReader(fh))
@@ -553,3 +592,37 @@ def write_proportion_eliminated_csv(
                 writer.writerow(
                     [scenario, _fmt(threshold), _fmt(float(np.mean(finals >= threshold)))]
                 )
+
+
+# ---------------------------------------------------------------------------
+# Toy benchmark table
+# ---------------------------------------------------------------------------
+
+def write_toy_table(path: Path, rows: Sequence[dict]) -> None:
+    """One row per (proposal, estimator) cell of ``toy.summarize_reports``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# schema: {SCHEMA_VERSIONS['toy_table']}\n")
+        fh.write(
+            "proposal,ernd,isd_x1000_median,isd_x1000_lo,isd_x1000_hi,isd_x1000_mean,"
+            "ess_median,ess_lo,ess_hi,ess_mean\n"
+        )
+        for row in rows:
+            isd, ess_band = row["isd_x1000"], row["ess"]
+            fh.write(
+                f"{row['proposal']},{row['ernd']},{isd['median']!r},{isd['lo']!r},"
+                f"{isd['hi']!r},{isd['mean']!r},{ess_band['median']!r},{ess_band['lo']!r},"
+                f"{ess_band['hi']!r},{ess_band['mean']!r}\n"
+            )
+
+
+def write_toy_replicates(path: Path, reports: Sequence[ToyExperimentReport]) -> None:
+    """One row per replicate; ``delta`` is empty where no window was used."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# schema: {SCHEMA_VERSIONS['toy_replicates']}\n")
+        fh.write("proposal,ernd,replicate,ks,isd,ess,delta\n")
+        for r in reports:
+            delta = "" if r.delta is None else repr(r.delta)
+            fh.write(
+                f"{r.proposal_kind},{r.ernd_kind},{r.replicate_seed},{r.ks!r},{r.isd!r},"
+                f"{r.ess!r},{delta}\n"
+            )

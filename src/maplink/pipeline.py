@@ -28,6 +28,7 @@ __all__ = [
     "SimulationBank",
     "WeightConfig",
     "estimated_population",
+    "ordered_map",
     "pool_and_filter",
     "project",
     "stage1_population_weights",
@@ -37,6 +38,9 @@ __all__ = [
 ]
 
 QUANTILE_LEVELS = (0.025, 0.5, 0.975)
+
+#: A unit's weights below this fraction of its largest weight are dropped.
+SPARSE_THRESHOLD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -187,7 +191,6 @@ class WeightConfig:
     ernd: ErndConfig = field(default_factory=lambda: ErndConfig(kind="distance", delta=0.01))
     population_log_sd: float = 0.5
     ess_floor: float = 100.0
-    sparse_threshold: float = 1e-12  # weights below max*threshold are dropped
 
 
 @dataclass(frozen=True)
@@ -202,11 +205,6 @@ class PixelWeights:
     dropped_map_fraction: float
     clamp_count: int
     low_ess: bool
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.bank_size)
-        out[self.indices] = self.values
-        return out
 
 
 def stage1_population_weights(
@@ -227,7 +225,7 @@ def weight_pixel(unit: PooledUnit, bank: SimulationBank, config: WeightConfig) -
     w2 = apply_ernd(unit.samples, bank.equilibrium_prevalence, w1, config.ernd)
 
     dense = w2.weights
-    keep = dense >= dense.max() * config.sparse_threshold
+    keep = dense >= dense.max() * SPARSE_THRESHOLD
     values = dense[keep]
     values = values / values.sum()
     ess_value = ess(values)
@@ -251,21 +249,40 @@ def weight_pixel(unit: PooledUnit, bank: SimulationBank, config: WeightConfig) -
     )
 
 
-_POOL_STATE: dict = {}
+_WORKER_TASK: tuple = ()  # (fn, shared), set only inside pool worker processes
 
 
-def _pool_init(units, bank, config):
-    _POOL_STATE["units"] = units
-    _POOL_STATE["bank"] = bank
-    _POOL_STATE["config"] = config
+def _install_worker_task(fn, shared) -> None:
+    global _WORKER_TASK
+    _WORKER_TASK = (fn, shared)
 
 
-def _pool_work(index: int) -> PixelWeights:
+def _run_worker_task(index: int):
+    fn, shared = _WORKER_TASK
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # flags travel on the result objects
-        return weight_pixel(
-            _POOL_STATE["units"][index], _POOL_STATE["bank"], _POOL_STATE["config"]
-        )
+        return fn(shared, index)
+
+
+def ordered_map(fn, shared, n: int, workers: int, chunksize: int) -> list:
+    """``[fn(shared, i) for i in range(n)]``, in a process pool if ``workers > 1``.
+
+    ``fn`` must be a module-level function so workers can find it.  The pool
+    installs ``shared`` once per worker rather than sending it with every
+    task, and workers suppress warnings, so callers must report from flags
+    on the results.  Results follow the index order for any worker count.
+    """
+    if workers <= 1:
+        return [fn(shared, i) for i in range(n)]
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_install_worker_task, initargs=(fn, shared)
+    ) as pool:
+        return list(pool.map(_run_worker_task, range(n), chunksize=chunksize))
+
+
+def _weight_one(shared, index: int) -> PixelWeights:
+    units, bank, config = shared
+    return weight_pixel(units[index], bank, config)
 
 
 def weight_all(
@@ -276,16 +293,9 @@ def weight_all(
 ) -> list[PixelWeights]:
     """Weight every unit against the bank; order follows the input exactly.
 
-    Units are independent, so any worker count produces identical results;
-    with ``workers > 1`` the map runs in a process pool against the shared
-    read-only bank.
+    Units are independent, so any worker count produces identical results.
     """
-    if workers <= 1:
-        return [weight_pixel(unit, bank, config) for unit in units]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_pool_init, initargs=(list(units), bank, config)
-    ) as pool:
-        return list(pool.map(_pool_work, range(len(units)), chunksize=8))
+    return ordered_map(_weight_one, (units, bank, config), len(units), workers, chunksize=8)
 
 
 def weighted_quantile(values, weights, levels) -> np.ndarray:

@@ -1,9 +1,6 @@
 """Importance proposals over transmission-model parameters.
 
-Two proposal-building strategies live here.  The pilot strategy reweights a
-set of pilot simulations so that frequently observed equilibrium prevalences
-do not dominate, and excludes parameter regions producing implausibly high
-prevalence.  The population strategy adapts a tabulated proposal over host
+The population proposal is adapted as a tabulated distribution over host
 population sizes so that every pixel population in a reference range ends up
 with a comparable effective sample size; the required range is covered by
 the proposal support plus a linearly decaying tail above it.
@@ -17,20 +14,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "ParameterVector",
-    "PilotProposal",
-    "PopulationPrior",
     "TabulatedProposal",
     "VhkGrid",
     "adapt_population_proposal",
-    "build_pilot_proposal",
     "default_vh_k_grid",
     "load_vh_k_grid",
     "population_prior_density",
@@ -62,28 +54,15 @@ class ParameterVector:
             raise ValueError("rates must be positive (importation may be zero)")
 
 
-@dataclass(frozen=True)
-class PopulationPrior:
-    """Log-normal prior on the simulated population size of one pixel."""
-
-    reported_population: float
-    log_sd: float
-
-    def __post_init__(self):
-        if self.reported_population < 1:
-            raise ValueError("reported population must be at least 1")
-        if not self.log_sd > 0:
-            raise ValueError("log-scale standard deviation must be positive")
-
-    def density(self, n) -> np.ndarray:
-        return population_prior_density(n, self.reported_population, self.log_sd)
-
-
 def population_prior_density(n, reported_population: float, log_sd: float) -> np.ndarray:
     """Log-normal density of a population size n around the reported value."""
     n = np.asarray(n, dtype=float)
     if np.any(n < 1):
         raise ValueError("population sizes must be at least 1")
+    if reported_population < 1:
+        raise ValueError("reported population must be at least 1")
+    if not log_sd > 0:
+        raise ValueError("log-scale standard deviation must be positive")
     z = (np.log(n) - np.log(reported_population)) / log_sd
     return np.exp(-0.5 * z * z) / (n * log_sd * np.sqrt(2.0 * np.pi))
 
@@ -120,87 +99,6 @@ class TabulatedProposal:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.choice(self.support, size=size, p=self.mass)
-
-
-# ---------------------------------------------------------------------------
-# Pilot-based proposal over arbitrary parameter vectors
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PilotProposal:
-    """Proposal built by flattening the prevalence distribution of pilot runs.
-
-    Pilot draws come uniformly from the prior; each pilot parameter vector is
-    resampled with probability inversely proportional to how often its
-    equilibrium prevalence bin was observed, and bins above the prevalence
-    cap get zero mass.  Stage-1 weights against the prior are proportional to
-    the inverse multiplier of the draw's bin.
-    """
-
-    thetas: tuple
-    prevalences: np.ndarray
-    bin_edges: np.ndarray
-    bin_multipliers: np.ndarray
-
-    @property
-    def draw_probabilities(self) -> np.ndarray:
-        raw = self.bin_multipliers[self._bins(self.prevalences)]
-        return raw / raw.sum()
-
-    def _bins(self, prevalence) -> np.ndarray:
-        idx = np.searchsorted(self.bin_edges, np.asarray(prevalence), side="right") - 1
-        return np.clip(idx, 0, self.bin_edges.size - 2)
-
-    def sample(self, rng: np.random.Generator, size: int) -> list:
-        idx = rng.choice(len(self.thetas), size=size, p=self.draw_probabilities)
-        return [self.thetas[i] for i in idx]
-
-    def prior_to_proposal_ratio(self, prevalence) -> np.ndarray:
-        """Unnormalised prior/proposal ratio for draws at the given prevalences.
-
-        Raises where the proposal assigns zero mass (excluded prevalences),
-        since the ratio is undefined there.
-        """
-        mult = self.bin_multipliers[self._bins(prevalence)]
-        if np.any(mult <= 0.0):
-            raise ValueError("prevalence outside proposal support")
-        return 1.0 / mult
-
-
-def build_pilot_proposal(
-    pilot_draws: Sequence[tuple],
-    max_observed_prevalence: float = 1.0,
-    n_bins: int = 50,
-) -> PilotProposal:
-    """Construct the prevalence-flattening proposal from pilot simulations.
-
-    ``pilot_draws`` holds (parameter vector, equilibrium prevalence) pairs
-    sampled uniformly from the prior.  Bins of the prevalence axis observed
-    often receive proportionally smaller resampling multipliers; bins above
-    ``max_observed_prevalence`` are excluded outright.
-    """
-    if len(pilot_draws) == 0:
-        raise ValueError("empty pilot set")
-    thetas = tuple(theta for theta, _ in pilot_draws)
-    prevalences = np.array([p for _, p in pilot_draws], dtype=float)
-    if np.any((prevalences < 0.0) | (prevalences > 1.0)):
-        raise ValueError("pilot prevalences must lie in [0, 1]")
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
-    idx = np.clip(np.searchsorted(edges, prevalences, side="right") - 1, 0, n_bins - 1)
-    freq = np.bincount(idx, minlength=n_bins) / prevalences.size
-    multipliers = np.zeros(n_bins)
-    occupied = freq > 0.0
-    multipliers[occupied] = 1.0 / freq[occupied]
-    centers = (edges[:-1] + edges[1:]) / 2.0
-    multipliers[centers > max_observed_prevalence] = 0.0
-    if not np.any(multipliers > 0.0):
-        raise ValueError("prevalence cap excludes every pilot draw")
-    return PilotProposal(
-        thetas=thetas,
-        prevalences=prevalences,
-        bin_edges=edges,
-        bin_multipliers=multipliers,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +161,10 @@ def adapt_population_proposal(
     tails of the log-normal priors with fewer simulations.
 
     ``reference_stride`` thins the reference pixel populations used to probe
-    the ESS (the profile is interpolated in log-population back onto the full
-    support); 1 evaluates every population in the range.  An explicit
-    ``reference_populations`` array replaces the strided default, for
-    adapting to a known finite set of pixels.
+    the ESS (the profile is still evaluated at every support point); 1 uses
+    every population in the range.  An explicit ``reference_populations``
+    array replaces the strided default, for adapting to a known finite set
+    of pixels.
     """
     lo, hi = population_range
     if not (1 <= lo < hi):
@@ -369,12 +267,8 @@ def default_vh_k_grid(n_vh: int = 24, n_k: int = 24) -> VhkGrid:
     )
 
 
-def load_vh_k_grid(path: str | Path | None = None) -> VhkGrid:
-    """Load a joint (V/H, k) grid from CSV, or the packaged default."""
-    if path is None:
-        ref = resources.files("maplink").joinpath("data/vh_k_grid.csv")
-        with resources.as_file(ref) as p:
-            return load_vh_k_grid(p)
+def load_vh_k_grid(path: str | Path) -> VhkGrid:
+    """Load a joint (V/H, k) grid from CSV."""
     vh, k, mass = [], [], []
     with open(path, newline="") as fh:
         for row in csv.DictReader(filter(lambda ln: not ln.startswith("#"), fh)):
@@ -384,15 +278,6 @@ def load_vh_k_grid(path: str | Path | None = None) -> VhkGrid:
     return VhkGrid(
         vector_host_ratio=np.array(vh), aggregation_k=np.array(k), mass=np.array(mass)
     )
-
-
-def save_vh_k_grid(grid: VhkGrid, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("# schema: maplink/vh-k-grid v1\n")
-        writer = csv.writer(fh)
-        writer.writerow(["vector_host_ratio", "aggregation_k", "mass"])
-        for vh, k, m in zip(grid.vector_host_ratio, grid.aggregation_k, grid.mass):
-            writer.writerow([repr(float(vh)), repr(float(k)), repr(float(m))])
 
 
 # ---------------------------------------------------------------------------

@@ -24,16 +24,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Literal
+from typing import Literal
 
 import numpy as np
 
 __all__ = [
     "DegenerateWeightsError",
     "ErndConfig",
-    "PrevalenceSamples",
     "StepCdf",
-    "SupportViolationError",
     "WeightVector",
     "apply_ernd",
     "discrepancy_ernd",
@@ -43,7 +41,6 @@ __all__ = [
     "integrated_squared_distance",
     "ks_distance",
     "select_delta",
-    "stage1_weights",
 ]
 
 #: Smallest window width used when every simulated prevalence coincides and
@@ -53,43 +50,8 @@ DELTA_FALLBACK = 1e-6
 _SUM_TOL = 1e-12
 
 
-class SupportViolationError(ValueError):
-    """Proposal density is zero at a bank member with positive prior density."""
-
-
 class DegenerateWeightsError(ValueError):
     """Every weight vanished; the pixel shares no prevalence mass with the bank."""
-
-
-def _as_values(samples) -> np.ndarray:
-    """Accept a bare array or a :class:`PrevalenceSamples`."""
-    if isinstance(samples, PrevalenceSamples):
-        return samples.values
-    return np.asarray(samples, dtype=float)
-
-
-@dataclass(frozen=True)
-class PrevalenceSamples:
-    """An ordered batch of prevalence values in [0, 1] with provenance.
-
-    ``provenance`` distinguishes samples drawn from the map posterior from
-    equilibrium prevalences of the simulation bank; the numerics treat both
-    identically but pipeline diagnostics report them separately.
-    """
-
-    values: np.ndarray
-    provenance: Literal["map-posterior", "simulation-bank"] = "map-posterior"
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("prevalence samples must be a non-empty 1-d array")
-        if np.any(values < 0.0) or np.any(values > 1.0) or not np.all(np.isfinite(values)):
-            raise ValueError("prevalence samples must lie in [0, 1]")
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -133,9 +95,6 @@ class WeightVector:
         if total <= 0.0:
             raise DegenerateWeightsError("all weights are zero")
         return cls(weights=raw / total, **diagnostics)
-
-    def __len__(self) -> int:
-        return self.weights.size
 
 
 @dataclass(frozen=True)
@@ -192,35 +151,6 @@ def ess(weights) -> float:
     return float(1.0 / np.dot(normalized, normalized))
 
 
-def stage1_weights(
-    prior_density: Callable[[object], float],
-    proposal_density: Callable[[object], float],
-    bank: Iterable[object],
-) -> np.ndarray:
-    """Unnormalised importance weights prior(theta)/proposal(theta) over the bank.
-
-    Rejects any bank member where the proposal density vanishes while the
-    prior does not: such a member violates the support condition and the
-    downstream density-ratio denominators would no longer be guaranteed
-    positive.
-    """
-    prior = np.array([prior_density(theta) for theta in bank], dtype=float)
-    proposal = np.array([proposal_density(theta) for theta in bank], dtype=float)
-    if prior.size == 0:
-        raise ValueError("empty simulation bank")
-    if np.any(prior < 0.0) or np.any(proposal < 0.0):
-        raise ValueError("densities must be non-negative")
-    bad = (proposal == 0.0) & (prior > 0.0)
-    if np.any(bad):
-        raise SupportViolationError(
-            f"proposal density is zero at {int(bad.sum())} bank member(s) with positive prior"
-        )
-    weights = np.where(prior == 0.0, 0.0, prior / np.where(proposal == 0.0, 1.0, proposal))
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("non-finite stage-1 weight")
-    return weights
-
-
 # ---------------------------------------------------------------------------
 # Empirical cdfs and distances between them
 # ---------------------------------------------------------------------------
@@ -240,7 +170,7 @@ class StepCdf:
     @classmethod
     def from_samples(cls, values, weights=None) -> "StepCdf":
         """Weighted empirical cdf; duplicate values are merged into one jump."""
-        values = _as_values(values)
+        values = np.asarray(values, dtype=float)
         if weights is None:
             weights = np.full(values.size, 1.0 / values.size)
         else:
@@ -303,7 +233,7 @@ def select_delta(sims) -> float:
     coincide the rule would return zero; a tiny positive fallback is used
     instead so the window estimators stay well defined.
     """
-    p = np.sort(_as_values(sims))
+    p = np.sort(np.asarray(sims, dtype=float))
     if p.size < 3:
         raise ValueError("need at least 3 simulated prevalences to choose delta")
     inf = np.inf
@@ -369,9 +299,9 @@ def distance_ernd(pixel, sims, w1, delta: float) -> WeightVector:
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
-    d = np.sort(_as_values(pixel))
-    p = _as_values(sims)
-    w1 = np.asarray(w1.weights if isinstance(w1, WeightVector) else w1, dtype=float)
+    d = np.sort(np.asarray(pixel, dtype=float))
+    p = np.asarray(sims, dtype=float)
+    w1 = np.asarray(w1, dtype=float)
     if w1.shape != p.shape:
         raise ValueError("w1 must have one weight per simulation")
     w1_total = w1.sum()
@@ -414,9 +344,9 @@ def histogram_ernd(
     mass is dropped and recorded, or with ``unmatched="transfer"`` it is
     moved to the nearest bin (by centre) that does contain simulations.
     """
-    d = _as_values(pixel)
-    p = _as_values(sims)
-    w1 = np.asarray(w1.weights if isinstance(w1, WeightVector) else w1, dtype=float)
+    d = np.asarray(pixel, dtype=float)
+    p = np.asarray(sims, dtype=float)
+    w1 = np.asarray(w1, dtype=float)
     if w1.shape != p.shape:
         raise ValueError("w1 must have one weight per simulation")
     edges = np.asarray(bin_edges, dtype=float)
@@ -465,8 +395,8 @@ def discrepancy_ernd(pixel, sims) -> WeightVector:
     prevalences are merged before solving and the merged weight is split
     equally among the duplicates.
     """
-    d = _as_values(pixel)
-    p = _as_values(sims)
+    d = np.asarray(pixel, dtype=float)
+    p = np.asarray(sims, dtype=float)
     map_cdf = StepCdf.from_samples(d)
 
     unique, inverse, counts = np.unique(p, return_inverse=True, return_counts=True)

@@ -142,6 +142,12 @@ def test_run_config_from_json_and_validation(tmp_path):
                                  {"name": "x", "kind": "none"}))
 
 
+@pytest.mark.parametrize("log_sd", [0.0, -0.5, float("nan"), float("inf")])
+def test_run_config_rejects_bad_population_log_sd(log_sd):
+    with pytest.raises(ValueError, match="population_log_sd"):
+        mio.RunConfig(population_log_sd=log_sd)
+
+
 def test_run_config_default_delta_is_one_percent():
     assert mio.RunConfig().ernd_config().delta == 0.01
 
@@ -224,6 +230,18 @@ def test_cli_simulate_worker_equivalence(tmp_path):
         ["simulate", "--config", str(config), "--out", str(tmp_path / "w3"), "--workers", "3"]
     ) == 0
     assert read_all_bytes(tmp_path / "w1") == read_all_bytes(tmp_path / "w3")
+
+
+def test_cli_simulate_pilot_worker_equivalence(tmp_path):
+    # each pilot draw runs once per scenario; it must get the same seeds in
+    # this process as in a pool worker
+    config = write_config(tmp_path, pilot_simulations=2)
+    for workers in ("1", "2"):
+        assert main(
+            ["simulate", "--config", str(config), "--out", str(tmp_path / f"w{workers}"),
+             "--workers", workers]
+        ) == 0
+    assert read_all_bytes(tmp_path / "w1") == read_all_bytes(tmp_path / "w2")
 
 
 def test_cli_simulate_seed_changes_bank(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for pooling, per-pixel weighting and projection."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -119,6 +120,16 @@ def test_stage1_population_weights_formula():
     w = stage1_population_weights(bank, 1500.0, 0.4)
     expected = population_prior_density(bank.populations, 1500.0, 0.4) / (1.0 / 100)
     assert np.allclose(w, expected)
+
+
+def test_simulation_bank_rejects_zero_proposal_mass():
+    # stage-1 weights divide by this mass: a draw the proposal cannot make
+    # breaks the importance-sampling support condition
+    bank = make_bank(j=10)
+    mass = bank.population_proposal_mass.copy()
+    mass[3] = 0.0
+    with pytest.raises(ValueError, match="proposal mass"):
+        dataclasses.replace(bank, population_proposal_mass=mass)
 
 
 # --- weighting -----------------------------------------------------------------

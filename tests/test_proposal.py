@@ -5,17 +5,14 @@ import pytest
 
 from maplink.proposal import (
     ParameterVector,
-    PopulationPrior,
     TabulatedProposal,
     VhkGrid,
     adapt_population_proposal,
-    build_pilot_proposal,
     default_vh_k_grid,
     load_vh_k_grid,
     pixel_ess_under_proposal,
     population_prior_density,
     sample_bank,
-    save_vh_k_grid,
 )
 
 
@@ -44,8 +41,11 @@ def test_prior_concentrates_as_sigma_shrinks():
 def test_prior_rejects_invalid():
     with pytest.raises(ValueError):
         population_prior_density(0, 1000, 0.5)
-    with pytest.raises(ValueError):
-        PopulationPrior(reported_population=1000, log_sd=0.0)
+    with pytest.raises(ValueError, match="reported population"):
+        population_prior_density(1000, 0.5, 0.5)
+    for log_sd in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="standard deviation"):
+            population_prior_density(1000, 1000, log_sd)
 
 
 # --- tabulated proposal ----------------------------------------------------------
@@ -63,47 +63,6 @@ def test_tabulated_proposal_validation():
         TabulatedProposal(support=np.array([10, 10]), mass=np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         TabulatedProposal(support=np.array([10, 20]), mass=np.array([0.5, 0.6]))
-
-
-# --- pilot proposal ----------------------------------------------------------------
-
-def test_pilot_no_exclusion_keeps_full_support():
-    draws = [((i,), 0.1 + 0.8 * i / 9) for i in range(10)]
-    prop = build_pilot_proposal(draws, max_observed_prevalence=1.0, n_bins=10)
-    assert np.all(prop.draw_probabilities > 0.0)
-
-
-def test_pilot_cap_excludes_high_prevalence():
-    draws = [(("lo",), 0.3), (("hi",), 0.97)]
-    prop = build_pilot_proposal(draws, max_observed_prevalence=0.95, n_bins=20)
-    probs = prop.draw_probabilities
-    assert probs[1] == 0.0 and probs[0] == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        prop.prior_to_proposal_ratio(np.array([0.97]))
-
-
-def test_pilot_equal_bin_frequencies_give_equal_mass():
-    draws = [(("a", i), 0.2) for i in range(5)] + [(("b", i), 0.7) for i in range(5)]
-    prop = build_pilot_proposal(draws, n_bins=2)
-    probs = prop.draw_probabilities
-    assert np.allclose(probs, 0.1)
-    # region mass equal even though one bin could be over-represented
-    ratio = prop.prior_to_proposal_ratio(np.array([0.2, 0.7]))
-    assert ratio[0] == pytest.approx(ratio[1])
-
-
-def test_pilot_flattens_unbalanced_frequencies():
-    # 8 draws in one bin, 2 in another: proposal mass equalises per bin
-    draws = [(("a", i), 0.2) for i in range(8)] + [(("b", i), 0.7) for i in range(2)]
-    prop = build_pilot_proposal(draws, n_bins=2)
-    probs = prop.draw_probabilities
-    assert probs[:8].sum() == pytest.approx(0.5)
-    assert probs[8:].sum() == pytest.approx(0.5)
-
-
-def test_pilot_empty_errors():
-    with pytest.raises(ValueError):
-        build_pilot_proposal([])
 
 
 # --- adaptive population proposal ------------------------------------------------
@@ -191,10 +150,15 @@ def test_default_grid_positive_log_correlation():
 
 
 def test_packaged_grid_loads_and_roundtrips(tmp_path):
-    grid = load_vh_k_grid()
+    grid = default_vh_k_grid()
     assert grid.mass.size > 100
     out = tmp_path / "grid.csv"
-    save_vh_k_grid(grid, out)
+    lines = ["# schema: maplink/vh-k-grid v1", "vector_host_ratio,aggregation_k,mass"]
+    lines += [
+        f"{float(vh)!r},{float(k)!r},{float(m)!r}"
+        for vh, k, m in zip(grid.vector_host_ratio, grid.aggregation_k, grid.mass)
+    ]
+    out.write_text("\n".join(lines) + "\n")
     again = load_vh_k_grid(out)
     assert np.array_equal(grid.mass, again.mass)
     assert np.array_equal(grid.vector_host_ratio, again.vector_host_ratio)
