@@ -31,7 +31,6 @@ from .pipeline import (
     weight_all,
 )
 from .proposal import adapt_population_proposal, default_vh_k_grid, load_vh_k_grid, sample_bank
-from .reweight import DegenerateWeightsError
 from .toy import run_toy_experiment, summarize_reports
 from .transmission import (
     importation_decay_from_pilot,
@@ -370,7 +369,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DegenerateWeightsError as err:
+    except ValueError as err:  # bad input; DegenerateWeightsError included
         print(f"error: {err}", file=sys.stderr)
         return 1
 

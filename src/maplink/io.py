@@ -104,18 +104,6 @@ def _open_schema_csv(path: Path, kind: str):
 # Run configuration
 # ---------------------------------------------------------------------------
 
-def _scenario_name(spec_dict: dict) -> str:
-    if spec_dict.get("name"):
-        return str(spec_dict["name"])
-    kind = spec_dict.get("kind", "none")
-    if kind == "none":
-        return "none"
-    if kind in ("annual", "biannual"):
-        prefix = "a" if kind == "annual" else "b"
-        return f"{prefix}MDA{round(float(spec_dict['coverage']) * 100)}"
-    return "custom"
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a full run needs, loadable from a JSON file."""
@@ -171,7 +159,11 @@ class RunConfig:
         object.__setattr__(
             self, "probability_thresholds", tuple(float(t) for t in self.probability_thresholds)
         )
-        names = [_scenario_name(s) for s in self.scenarios]
+        unknown = set(self.model) - set(ModelParams.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown model keys: {sorted(unknown)}")
+        self.model_params()  # raises on an invalid model value
+        names = [s.name for s in self.scenario_objects()]
         if len(set(names)) != len(names):
             raise ValueError("scenario names must be unique")
 
@@ -213,9 +205,9 @@ class RunConfig:
         built = []
         for spec_dict in self.scenarios:
             kind = spec_dict.get("kind", "none")
-            name = _scenario_name(spec_dict)
+            name = str(spec_dict["name"]) if spec_dict.get("name") else None
             if kind == "none":
-                built.append(Scenario(name=name, years=self.years))
+                built.append(Scenario(name=name or "none", years=self.years))
             elif kind == "annual":
                 built.append(Scenario.annual(spec_dict["coverage"], self.years, name=name))
             elif kind == "biannual":
@@ -223,7 +215,7 @@ class RunConfig:
             elif kind == "rounds":
                 built.append(
                     Scenario(
-                        name=name,
+                        name=name or "custom",
                         years=self.years,
                         rounds=tuple((int(m), float(c)) for m, c in spec_dict["rounds"]),
                     )
@@ -349,9 +341,6 @@ def _read_params_csv(path: Path) -> dict[str, np.ndarray]:
         rows = list(reader)
     return {
         "population": np.array([int(r["population"]) for r in rows], dtype=np.int64),
-        "vector_host_ratio": np.array([float(r["vector_host_ratio"]) for r in rows]),
-        "aggregation_k": np.array([float(r["aggregation_k"]) for r in rows]),
-        "importation_rate": np.array([float(r["importation_rate"]) for r in rows]),
         "population_proposal_mass": np.array(
             [float(r["population_proposal_mass"]) for r in rows]
         ),
@@ -375,9 +364,6 @@ def load_simulation_bank(directory: Path, verify: bool = True) -> tuple[Simulati
                 traj_parts.setdefault(key[5:], []).append(np.load(directory / fname))
     bank = SimulationBank(
         populations=np.concatenate(columns["population"]),
-        vector_host_ratio=np.concatenate(columns["vector_host_ratio"]),
-        aggregation_k=np.concatenate(columns["aggregation_k"]),
-        importation_rate=np.concatenate(columns["importation_rate"]),
         population_proposal_mass=np.concatenate(columns["population_proposal_mass"]),
         equilibrium_prevalence=np.concatenate(eq_parts),
         trajectories={name: np.concatenate(parts) for name, parts in traj_parts.items()},

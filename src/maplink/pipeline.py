@@ -55,11 +55,11 @@ class PixelPosterior:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("need at least one posterior sample")
-        if np.any((samples < 0.0) | (samples > 1.0)):
-            raise ValueError("posterior samples must lie in [0, 1]")
-        if self.population < 0:
-            raise ValueError("population must be non-negative")
+            raise ValueError(f"pixel {self.pixel_id}: need at least one posterior sample")
+        if not np.all((samples >= 0.0) & (samples <= 1.0)):
+            raise ValueError(f"pixel {self.pixel_id}: posterior samples must lie in [0, 1]")
+        if not 0.0 <= self.population < np.inf:
+            raise ValueError(f"pixel {self.pixel_id}: population must be finite and non-negative")
         object.__setattr__(self, "samples", samples)
 
 
@@ -153,27 +153,18 @@ class SimulationBank:
     """Read-only columnar view of the J simulations shared by all pixels."""
 
     populations: np.ndarray
-    vector_host_ratio: np.ndarray
-    aggregation_k: np.ndarray
-    importation_rate: np.ndarray
     population_proposal_mass: np.ndarray
     equilibrium_prevalence: np.ndarray
     trajectories: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         j = self.populations.size
-        for name in (
-            "vector_host_ratio",
-            "aggregation_k",
-            "importation_rate",
-            "population_proposal_mass",
-            "equilibrium_prevalence",
-        ):
+        for name in ("population_proposal_mass", "equilibrium_prevalence"):
             if getattr(self, name).shape != (j,):
                 raise ValueError(f"{name} must have one entry per simulation")
-        if np.any((self.equilibrium_prevalence < 0) | (self.equilibrium_prevalence > 1)):
+        if not np.all((self.equilibrium_prevalence >= 0) & (self.equilibrium_prevalence <= 1)):
             raise ValueError("equilibrium prevalences must lie in [0, 1]")
-        if np.any(self.population_proposal_mass <= 0.0):
+        if not np.all(self.population_proposal_mass > 0.0):
             raise ValueError("population proposal mass must be positive at every draw")
         for name, traj in self.trajectories.items():
             if traj.ndim != 2 or traj.shape[0] != j:
@@ -221,7 +212,10 @@ def stage1_population_weights(
 
 def weight_pixel(unit: PooledUnit, bank: SimulationBank, config: WeightConfig) -> PixelWeights:
     """Stage-1 population reweighting composed with the configured estimator."""
-    w1 = stage1_population_weights(bank, unit.population, config.population_log_sd)
+    try:
+        w1 = stage1_population_weights(bank, unit.population, config.population_log_sd)
+    except ValueError as err:
+        raise ValueError(f"unit {unit.unit_id}: {err}") from err
     w2 = apply_ernd(unit.samples, bank.equilibrium_prevalence, w1, config.ernd)
 
     dense = w2.weights

@@ -319,7 +319,8 @@ def distance_ernd(pixel, sims, w1, delta: float) -> WeightVector:
     gsum = _window_weight_sums(p_sorted, w_sorted, p, delta)
     # Each window contains its own simulation, so g > 0 wherever w1 > 0.
     positive = w1 > 0.0
-    assert np.all(gsum[positive] > 0.0), "window denominator vanished despite support condition"
+    if not np.all(gsum[positive] > 0.0):
+        raise DegenerateWeightsError("window denominator vanished despite support condition")
     raw = np.zeros_like(w1)
     raw[positive] = counts[positive] / m * w1_total / gsum[positive] * w1[positive]
 

@@ -65,15 +65,9 @@ class ToyDraws:
         return self.theta1.size
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def sample_toy_prior(j: int, seed) -> ToyDraws:
     """Draw theta1 ~ Beta(2,1) and theta2 | theta1 uniform on (0, theta1)."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     theta1 = rng.beta(2.0, 1.0, size=j)
     theta2 = theta1 * rng.uniform(size=j)
     return ToyDraws(theta1=theta1, theta2=theta2, proposal_kind="prior")
@@ -81,7 +75,7 @@ def sample_toy_prior(j: int, seed) -> ToyDraws:
 
 def sample_toy_uniform_proposal(j: int, seed) -> ToyDraws:
     """Draw theta1 ~ U(0,1) and theta2 | theta1 uniform, flattening the prevalences."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     theta1 = rng.uniform(size=j)
     theta2 = theta1 * rng.uniform(size=j)
     return ToyDraws(theta1=theta1, theta2=theta2, proposal_kind="uniform")
@@ -89,7 +83,7 @@ def sample_toy_uniform_proposal(j: int, seed) -> ToyDraws:
 
 def toy_target_sampler(m: int, seed) -> np.ndarray:
     """Pixel posterior samples: Beta(1,2), density 2(1-p)."""
-    return _rng(seed).beta(1.0, 2.0, size=m)
+    return np.random.default_rng(seed).beta(1.0, 2.0, size=m)
 
 
 def toy_stage1_weights(draws: ToyDraws) -> np.ndarray:

@@ -79,8 +79,6 @@ class ModelParams:
     species: Literal["anopheles", "culex"] = "anopheles"
     mf_detection_threshold: float = 1.0     # per 20 uL
     mf_suppression_months: float = 6.0      # post-treatment production pause
-    l3_coupling: Literal["scaled", "none"] = "scaled"
-    l3_reference: float | None = None       # None: the saturated L3 load (see below)
     burn_in_months: int = 1200
     seed_worms_per_sex: float = 4.0         # initial burden scale for the burn-in
 
@@ -102,21 +100,19 @@ class ModelParams:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        if self.species not in ("anopheles", "culex"):
+            raise ValueError(f"unknown vector species {self.species!r}")
 
     def saturation_l3(self) -> float:
-        """L3 load when every blood meal saturates the uptake curve."""
-        ks = self.uptake_kappa_s2 if self.species == "anopheles" else self.uptake_kappa_s1
-        return equilibrium_l3(ks, self)
-
-    def l3_availability_reference(self) -> float:
-        """Normaliser for the larval availability factor.
+        """L3 load when every blood meal saturates the uptake curve.
 
         The per-month worm acquisition rate is calibrated to a fully
-        infectious mosquito population; scaling by L*/reference with the
-        saturated L3 load as the default reference keeps that calibration at
-        saturation and shuts transmission down as infectious larvae vanish.
+        infectious mosquito population; scaling it by L*/saturation_l3 keeps
+        that calibration at saturation and shuts transmission down as
+        infectious larvae vanish.
         """
-        return self.saturation_l3() if self.l3_reference is None else self.l3_reference
+        ks = self.uptake_kappa_s2 if self.species == "anopheles" else self.uptake_kappa_s1
+        return equilibrium_l3(ks, self)
 
 
 @dataclass
@@ -163,7 +159,6 @@ def initial_state(
     theta: ParameterVector,
     params: ModelParams,
     rng: np.random.Generator,
-    seed_worms_per_sex: float | None = None,
 ) -> PopulationState:
     """Community with stationary ages, gamma bite risks and seeded infection.
 
@@ -171,12 +166,12 @@ def initial_state(
     must start above the transmission breakpoint to find the endemic
     equilibrium where one exists; where none does, the seeded infection dies
     out during the burn-in.  Initial burdens are Poisson with mean
-    proportional to each host's relative exposure (``seed_worms_per_sex``
+    proportional to each host's relative exposure (``params.seed_worms_per_sex``
     per host on average; zero starts the community uninfected), and mf start
     at their conditional equilibrium so larval uptake is immediate.
     """
     n = theta.population
-    w0 = params.seed_worms_per_sex if seed_worms_per_sex is None else seed_worms_per_sex
+    w0 = params.seed_worms_per_sex
     age = _stationary_ages(rng, n, params.human_death_rate)
     bite_risk = rng.gamma(theta.aggregation_k, 1.0 / theta.aggregation_k, size=n)
     exposure = bite_risk * exposure_by_age(age, params)
@@ -229,7 +224,7 @@ def acquisition_rate(
     )
 
 
-def larvae_uptake(mf_per_20ul, params: ModelParams, species: str | None = None) -> np.ndarray:
+def larvae_uptake(mf_per_20ul, params: ModelParams) -> np.ndarray:
     """Larvae developing in a mosquito after a blood meal at mf density m.
 
     Anopheles uptake is squared-saturating (facilitation: vanishing slope at
@@ -239,14 +234,11 @@ def larvae_uptake(mf_per_20ul, params: ModelParams, species: str | None = None) 
     m = np.asarray(mf_per_20ul, dtype=float)
     if np.any(m < 0.0):
         raise ValueError("mf density must be non-negative")
-    kind = species or params.species
-    if kind == "anopheles":
+    if params.species == "anopheles":
         ks = params.uptake_kappa_s2
         return ks * (1.0 - np.exp(-params.uptake_r2 * m / ks)) ** 2
-    if kind == "culex":
-        ks = params.uptake_kappa_s1
-        return ks * (1.0 - np.exp(-params.uptake_r1 * m / ks))
-    raise ValueError(f"unknown vector species {kind!r}")
+    ks = params.uptake_kappa_s1
+    return ks * (1.0 - np.exp(-params.uptake_r1 * m / ks))
 
 
 def population_uptake(state: PopulationState, params: ModelParams) -> float:
@@ -275,33 +267,24 @@ def step(
     theta: ParameterVector,
     params: ModelParams,
     rng: np.random.Generator,
-    dt: float = 1.0,
-    importation_rate: float | None = None,
 ) -> PopulationState:
-    """Advance the community by one time step (in place).
+    """Advance the community by one month (in place).
 
     Update order: larval availability from current mf; worm acquisitions and
     deaths; exact-exponential mf update from the new worm burden; ageing,
-    death and replacement; importation.  ``importation_rate`` overrides the
-    bank parameter so interventions can decay it over time.
+    death and replacement; importation at ``theta.importation_rate``.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
     n = state.size
-    alpha_imp = theta.importation_rate if importation_rate is None else importation_rate
 
     # mosquito side at quasi-equilibrium
     state.larvae_mean = equilibrium_l3(population_uptake(state, params), params)
-    if params.l3_coupling == "scaled":
-        availability = state.larvae_mean / params.l3_availability_reference()
-    else:
-        availability = 1.0
+    availability = state.larvae_mean / params.saturation_l3()
 
     # adult worm dynamics
-    rate = acquisition_rate(state.bite_risk, state.age, theta, params) * availability * dt
+    rate = acquisition_rate(state.bite_risk, state.age, theta, params) * availability
     state.male_fertile += rng.poisson(rate)
     state.female_fertile += rng.poisson(rate)
-    p_die = -np.expm1(-params.worm_death_rate * dt)
+    p_die = -np.expm1(-params.worm_death_rate)
     state.male_fertile = rng.binomial(state.male_fertile, 1.0 - p_die)
     state.male_sterile = rng.binomial(state.male_sterile, 1.0 - p_die)
     state.female_fertile = rng.binomial(state.female_fertile, 1.0 - p_die)
@@ -314,13 +297,13 @@ def step(
     production = np.where(
         producing & ~suppressed, params.mf_production_rate * state.female_fertile, 0.0
     )
-    decay = np.exp(-params.mf_death_rate * dt)
+    decay = np.exp(-params.mf_death_rate)
     state.mf = state.mf * decay + production / params.mf_death_rate * (1.0 - decay)
 
     # demography: constant hazard plus the hard age cut-off, replacement keeps
     # the population size constant
-    state.age += dt
-    died = (rng.uniform(size=n) < -np.expm1(-params.human_death_rate * dt)) | (
+    state.age += 1.0
+    died = (rng.uniform(size=n) < -np.expm1(-params.human_death_rate)) | (
         state.age >= MAX_AGE_MONTHS
     )
     n_dead = int(died.sum())
@@ -338,14 +321,14 @@ def step(
         state.treated_last[died] = False
 
     # importation: each event hands one adult worm of random sex to a random host
-    n_events = rng.poisson(alpha_imp * n * dt)
+    n_events = rng.poisson(theta.importation_rate * n)
     if n_events:
         hosts = rng.integers(0, n, size=n_events)
         sexes = rng.integers(0, 2, size=n_events)
         np.add.at(state.male_fertile, hosts[sexes == 0], 1)
         np.add.at(state.female_fertile, hosts[sexes == 1], 1)
 
-    state.time += dt
+    state.time += 1.0
     return state
 
 
@@ -354,8 +337,6 @@ def apply_mda(
     coverage: float,
     params: ModelParams,
     rng: np.random.Generator,
-    mf_kill: float | None = None,
-    worm_sterilise: float | None = None,
 ) -> PopulationState:
     """One round of mass drug administration (in place).
 
@@ -367,8 +348,8 @@ def apply_mda(
     """
     if not 0.0 <= coverage <= 1.0:
         raise ValueError("coverage must lie in [0, 1]")
-    chi = params.mda_mf_kill if mf_kill is None else mf_kill
-    kappa = params.mda_worm_sterilise if worm_sterilise is None else worm_sterilise
+    chi = params.mda_mf_kill
+    kappa = params.mda_worm_sterilise
     rho = params.adherence_correlation
 
     u = rng.uniform(size=state.size)
@@ -400,14 +381,15 @@ def run_to_equilibrium(
     theta: ParameterVector,
     params: ModelParams,
     seed,
-    burn_in_months: int | None = None,
-    seed_worms_per_sex: float | None = None,
 ) -> tuple[float, PopulationState]:
-    """Burn a fresh community in to its pre-control endemic equilibrium."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    state = initial_state(theta, params, rng, seed_worms_per_sex=seed_worms_per_sex)
-    months = params.burn_in_months if burn_in_months is None else burn_in_months
-    for _ in range(months):
+    """Burn a fresh community in to its pre-control endemic equilibrium.
+
+    ``seed`` is anything :func:`numpy.random.default_rng` accepts, a
+    ``Generator`` included.
+    """
+    rng = np.random.default_rng(seed)
+    state = initial_state(theta, params, rng)
+    for _ in range(params.burn_in_months):
         step(state, theta, params, rng)
     return mf_prevalence(state, params), state
 
@@ -418,14 +400,13 @@ class Scenario:
 
     ``importation_decay`` holds one multiplier per simulated year applied to
     the importation rate (year 0 first); it typically comes from
-    :func:`importation_decay_from_pilot`.
+    :func:`importation_decay_from_pilot`.  Drug efficacy is a model property
+    (``ModelParams.mda_mf_kill``, ``ModelParams.mda_worm_sterilise``).
     """
 
     name: str
     years: int
     rounds: tuple[tuple[int, float], ...] = ()
-    mf_kill: float | None = None
-    worm_sterilise: float | None = None
     importation_decay: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -434,27 +415,25 @@ class Scenario:
         months = [m for m, _ in self.rounds]
         if months != sorted(months):
             raise ValueError("round times must increase")
+        if any(not 0 <= m < 12 * self.years for m in months):
+            raise ValueError(
+                f"scenario {self.name!r}: round months must lie in [0, {12 * self.years})"
+            )
         if any(not 0.0 <= c <= 1.0 for _, c in self.rounds):
             raise ValueError("coverage must lie in [0, 1]")
         if self.importation_decay is not None and len(self.importation_decay) < self.years:
             raise ValueError("need one importation multiplier per year")
 
     @classmethod
-    def none(cls, years: int = 5) -> "Scenario":
-        return cls(name="none", years=years)
-
-    @classmethod
-    def annual(cls, coverage: float, years: int = 5, n_rounds: int | None = None,
-               name: str | None = None) -> "Scenario":
-        n_rounds = years if n_rounds is None else n_rounds
-        rounds = tuple((12 * i, coverage) for i in range(n_rounds))
+    def annual(cls, coverage: float, years: int = 5, name: str | None = None) -> "Scenario":
+        """One round at the start of every year; named like ``aMDA65`` by default."""
+        rounds = tuple((12 * i, coverage) for i in range(years))
         return cls(name=name or f"aMDA{round(coverage * 100)}", years=years, rounds=rounds)
 
     @classmethod
-    def biannual(cls, coverage: float, years: int = 5, n_rounds: int | None = None,
-                 name: str | None = None) -> "Scenario":
-        n_rounds = 2 * years if n_rounds is None else n_rounds
-        rounds = tuple((6 * i, coverage) for i in range(n_rounds))
+    def biannual(cls, coverage: float, years: int = 5, name: str | None = None) -> "Scenario":
+        """One round every six months; named like ``bMDA65`` by default."""
+        rounds = tuple((6 * i, coverage) for i in range(2 * years))
         return cls(name=name or f"bMDA{round(coverage * 100)}", years=years, rounds=rounds)
 
     def with_decay(self, decay: Sequence[float]) -> "Scenario":
@@ -471,28 +450,22 @@ def run_scenario(
     """Simulate an intervention from equilibrium; yearly mf prevalences.
 
     Returns ``years + 1`` values; index 0 is the pre-intervention baseline.
-    The input state is not modified.
+    The input state is not modified.  ``seed`` is anything
+    :func:`numpy.random.default_rng` accepts.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     state = eq_state.copy()
     rounds = dict(scenario.rounds)
     trajectory = np.empty(scenario.years + 1)
     trajectory[0] = mf_prevalence(state, params)
-    for month in range(scenario.years * 12):
-        if month in rounds:
-            apply_mda(
-                state,
-                rounds[month],
-                params,
-                rng,
-                mf_kill=scenario.mf_kill,
-                worm_sterilise=scenario.worm_sterilise,
-            )
-        year = month // 12
+    for year in range(scenario.years):
         decay = 1.0 if scenario.importation_decay is None else scenario.importation_decay[year]
-        step(state, theta, params, rng, importation_rate=theta.importation_rate * decay)
-        if (month + 1) % 12 == 0:
-            trajectory[(month + 1) // 12] = mf_prevalence(state, params)
+        theta_year = replace(theta, importation_rate=theta.importation_rate * decay)
+        for month in range(12 * year, 12 * year + 12):
+            if month in rounds:
+                apply_mda(state, rounds[month], params, rng)
+            step(state, theta_year, params, rng)
+        trajectory[year + 1] = mf_prevalence(state, params)
     return trajectory
 
 

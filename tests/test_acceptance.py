@@ -5,6 +5,7 @@ criterion.  Tolerances are fixed here, not calibrated.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -257,7 +258,7 @@ def test_criterion_6_transmission_invariants():
     theta0 = ParameterVector(
         population=200, vector_host_ratio=25.0, aggregation_k=0.5, importation_rate=0.0
     )
-    clean = initial_state(theta0, params, rng, seed_worms_per_sex=0.0)
+    clean = initial_state(theta0, replace(params, seed_worms_per_sex=0.0), rng)
     for _ in range(120):
         step(clean, theta0, params, rng)
     assert int(clean.male_worms.sum() + clean.female_worms.sum()) == 0
@@ -265,7 +266,7 @@ def test_criterion_6_transmission_invariants():
 
     # exact exponential mf decay at zero production, 1e-12 per step
     decay_params = ModelParams(mf_production_rate=0.0)
-    decay_state = initial_state(theta0, decay_params, rng, seed_worms_per_sex=0.0)
+    decay_state = initial_state(theta0, replace(decay_params, seed_worms_per_sex=0.0), rng)
     decay_state.age[:] = 300.0
     decay_state.mf = rng.uniform(0.5, 30.0, size=200)
     expected = decay_state.mf.copy()
@@ -279,8 +280,8 @@ def test_criterion_6_transmission_invariants():
     theta_big = ParameterVector(
         population=100_000, vector_host_ratio=10.0, aggregation_k=0.25, importation_rate=0.0
     )
-    big = initial_state(theta_big, params, np.random.default_rng(SEED + 5),
-                        seed_worms_per_sex=0.0)
+    big = initial_state(theta_big, replace(params, seed_worms_per_sex=0.0),
+                        np.random.default_rng(SEED + 5))
     mean_b = float(np.mean(big.bite_risk))
     var_b = float(np.var(big.bite_risk))
     assert abs(mean_b - 1.0) <= 0.01
@@ -307,7 +308,7 @@ def test_criterion_7_scenario_ordering():
         population=400, vector_host_ratio=25.0, aggregation_k=0.5, importation_rate=2e-4
     )
     scenarios = [
-        Scenario.none(5),
+        Scenario(name="none", years=5),
         Scenario.annual(0.65, 5),
         Scenario.annual(0.80, 5),
         Scenario.biannual(0.65, 5),
@@ -342,9 +343,6 @@ def test_criterion_8_synthetic_map_reproduction():
     populations = proposal.sample(rng, j)
     bank = SimulationBank(
         populations=populations.astype(np.int64),
-        vector_host_ratio=np.full(j, 10.0),
-        aggregation_k=np.full(j, 0.3),
-        importation_rate=np.full(j, 1e-4),
         population_proposal_mass=proposal.density(populations),
         equilibrium_prevalence=rng.uniform(size=j),
         trajectories={},

@@ -157,6 +157,14 @@ def test_run_config_scenario_objects():
     scenarios = config.scenario_objects()
     assert [s.name for s in scenarios] == ["none", "aMDA65", "aMDA80", "bMDA65"]
     assert len(scenarios[3].rounds) == 10
+    unnamed = mio.RunConfig(scenarios=(
+        {"kind": "none"}, {"kind": "annual", "coverage": 0.65},
+        {"kind": "biannual", "coverage": 0.8}, {"kind": "rounds", "rounds": [[6, 0.5]]},
+    ))
+    assert [s.name for s in unnamed.scenario_objects()] == ["none", "aMDA65", "bMDA80", "custom"]
+    with pytest.raises(ValueError, match="unique"):
+        mio.RunConfig(scenarios=({"kind": "annual", "coverage": 0.65},
+                                 {"name": "aMDA65", "kind": "none"}))
 
 
 # --- CLI chain ----------------------------------------------------------------------
@@ -311,6 +319,21 @@ def test_cli_project_rejects_unknown_scenario(tmp_path):
         main(["project", "--config", str(config), "--bank", str(bank_dir),
               "--weights", str(weights), "--out", str(tmp_path / "s"),
               "--scenario", "missing"])
+
+
+@pytest.mark.parametrize("override, key", [
+    ({"population_log_sd": 0}, "population_log_sd"),
+    ({"model": {"l3_refernce": 1.0}}, "l3_refernce"),
+    ({"model": {"l3_coupling": "none"}}, "l3_coupling"),
+    ({"model": {"species": "aedes"}}, "species"),
+])
+def test_cli_bad_config_is_one_line_error(tmp_path, capsys, override, key):
+    config = write_config(tmp_path, **override)
+    out = tmp_path / "bank"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+    assert not out.exists()
 
 
 def test_cli_toy_validate_writes_table(tmp_path):

@@ -35,9 +35,6 @@ def make_bank(j=4000, seed=0, sigma_spread=(300, 9000), trajectories=None):
     pops = rng.integers(sigma_spread[0], sigma_spread[1], size=j)
     return SimulationBank(
         populations=pops.astype(np.int64),
-        vector_host_ratio=np.full(j, 10.0),
-        aggregation_k=np.full(j, 0.3),
-        importation_rate=np.full(j, 1e-4),
         population_proposal_mass=np.full(j, 1.0 / j),
         equilibrium_prevalence=rng.uniform(size=j),
         trajectories=trajectories or {},
@@ -130,6 +127,14 @@ def test_simulation_bank_rejects_zero_proposal_mass():
     mass[3] = 0.0
     with pytest.raises(ValueError, match="proposal mass"):
         dataclasses.replace(bank, population_proposal_mass=mass)
+
+
+def test_simulation_bank_rejects_nan_prevalence():
+    bank = make_bank(j=10)
+    prevalence = bank.equilibrium_prevalence.copy()
+    prevalence[3] = np.nan
+    with pytest.raises(ValueError, match="equilibrium prevalences"):
+        dataclasses.replace(bank, equilibrium_prevalence=prevalence)
 
 
 # --- weighting -----------------------------------------------------------------
@@ -395,3 +400,15 @@ def test_pixel_posterior_validation():
         PixelPosterior(pixel_id="x", country="KE", population=100.0, samples=np.array([1.2]))
     with pytest.raises(ValueError):
         PixelPosterior(pixel_id="x", country="KE", population=-5.0, samples=np.array([0.2]))
+    with pytest.raises(ValueError, match="pixel x: population"):
+        PixelPosterior(pixel_id="x", country="KE", population=np.nan, samples=np.array([0.2]))
+    with pytest.raises(ValueError, match="pixel x: posterior samples"):
+        PixelPosterior(pixel_id="x", country="KE", population=100.0,
+                       samples=np.array([np.nan, 0.2]))
+
+
+def test_weight_pixel_names_unit_with_invalid_population():
+    unit = PooledUnit(unit_id="a+b", country="KE", member_pixel_ids=("a", "b"),
+                      population=0.5, samples=np.array([0.2, 0.3]))
+    with pytest.raises(ValueError, match="unit a\\+b: reported population"):
+        weight_pixel(unit, make_bank(j=100), WeightConfig())

@@ -1,5 +1,7 @@
 """Tests for the individual-based transmission model."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from maplink.transmission import (
 )
 
 PARAMS = ModelParams()
+UNINFECTED = replace(PARAMS, seed_worms_per_sex=0.0)  # initial_state starts worm-free
 
 
 def make_theta(population=300, vh=25.0, k=0.5, imp=2e-4):
@@ -71,7 +74,7 @@ def test_uptake_zero_at_zero_and_saturates():
     assert larvae_uptake(1e9, PARAMS) == pytest.approx(PARAMS.uptake_kappa_s2, rel=1e-9)
     m = np.linspace(0.0, 50.0, 200)
     for species in ("anopheles", "culex"):
-        vals = larvae_uptake(m, PARAMS, species=species)
+        vals = larvae_uptake(m, replace(PARAMS, species=species))
         assert np.all(np.diff(vals) >= 0.0)
 
 
@@ -79,8 +82,8 @@ def test_uptake_facilitation_vs_limitation_at_low_density():
     # anopheles (squared form) has vanishing slope at zero; culex rises with
     # slope r; with matched constants anopheles sits below culex
     m = np.array([1e-6, 1e-4, 0.01])
-    anoph = larvae_uptake(m, PARAMS, species="anopheles")
-    culex = larvae_uptake(m, PARAMS, species="culex")
+    anoph = larvae_uptake(m, replace(PARAMS, species="anopheles"))
+    culex = larvae_uptake(m, replace(PARAMS, species="culex"))
     assert np.all(anoph < culex)
     assert anoph[0] / m[0] < 1e-3
     assert culex[0] / m[0] == pytest.approx(PARAMS.uptake_r1, rel=1e-3)
@@ -90,13 +93,13 @@ def test_uptake_rejects_negative():
     with pytest.raises(ValueError):
         larvae_uptake(-1.0, PARAMS)
     with pytest.raises(ValueError):
-        larvae_uptake(1.0, PARAMS, species="aedes")
+        ModelParams(species="aedes")
 
 
 def test_population_uptake_weighted_mean():
     theta = make_theta(population=2)
     rng = np.random.default_rng(0)
-    state = initial_state(theta, PARAMS, rng, seed_worms_per_sex=0.0)
+    state = initial_state(theta, UNINFECTED, rng)
     state.bite_risk = np.array([1.0, 3.0])
     state.mf = np.array([0.0, 5.0])
     expected = (
@@ -131,7 +134,7 @@ def test_population_size_constant_and_counts_nonnegative():
 def test_disease_free_state_is_absorbing():
     theta = make_theta(imp=0.0)
     rng = np.random.default_rng(2)
-    state = initial_state(theta, PARAMS, rng, seed_worms_per_sex=0.0)
+    state = initial_state(theta, UNINFECTED, rng)
     for _ in range(240):
         step(state, theta, PARAMS, rng)
     assert int(state.male_worms.sum() + state.female_worms.sum()) == 0
@@ -144,7 +147,7 @@ def test_mf_decay_exact_exponential():
     theta = make_theta(imp=0.0)
     params = ModelParams(mf_production_rate=0.0, human_death_rate=1e-15)
     rng = np.random.default_rng(3)
-    state = initial_state(theta, params, rng, seed_worms_per_sex=0.0)
+    state = initial_state(theta, replace(params, seed_worms_per_sex=0.0), rng)
     state.age[:] = 300.0
     state.mf = rng.uniform(0.5, 20.0, size=state.size)
     expected = state.mf.copy()
@@ -157,7 +160,7 @@ def test_mf_decay_exact_exponential():
 def test_bite_risk_moments():
     theta = make_theta(population=100_000, k=0.25)
     rng = np.random.default_rng(4)
-    state = initial_state(theta, PARAMS, rng, seed_worms_per_sex=0.0)
+    state = initial_state(theta, UNINFECTED, rng)
     assert np.mean(state.bite_risk) == pytest.approx(1.0, abs=0.01)
     assert np.var(state.bite_risk) == pytest.approx(1.0 / 0.25, rel=0.05)
 
@@ -174,7 +177,7 @@ def test_worm_death_dominates_at_high_mu():
 def test_importation_adds_worms():
     theta = make_theta(population=500, vh=1.0, imp=0.05)
     rng = np.random.default_rng(6)
-    state = initial_state(theta, PARAMS, rng, seed_worms_per_sex=0.0)
+    state = initial_state(theta, UNINFECTED, rng)
     for _ in range(24):
         step(state, theta, PARAMS, rng)
     assert int(state.male_worms.sum() + state.female_worms.sum()) > 0
@@ -183,16 +186,17 @@ def test_importation_adds_worms():
 def test_step_importation_override():
     theta = make_theta(population=500, vh=1.0, imp=0.05)
     rng = np.random.default_rng(7)
-    state = initial_state(theta, PARAMS, rng, seed_worms_per_sex=0.0)
+    state = initial_state(theta, UNINFECTED, rng)
     for _ in range(24):
-        step(state, theta, PARAMS, rng, importation_rate=0.0)
+        step(state, replace(theta, importation_rate=0.0), PARAMS, rng)
     assert int(state.male_worms.sum() + state.female_worms.sum()) == 0
 
 
 def test_reproducibility_same_seed_same_trajectory():
     theta = make_theta(population=200)
-    prev_a, state_a = run_to_equilibrium(theta, PARAMS, seed=42, burn_in_months=120)
-    prev_b, state_b = run_to_equilibrium(theta, PARAMS, seed=42, burn_in_months=120)
+    params = replace(PARAMS, burn_in_months=120)
+    prev_a, state_a = run_to_equilibrium(theta, params, seed=42)
+    prev_b, state_b = run_to_equilibrium(theta, params, seed=42)
     assert prev_a == prev_b
     assert np.array_equal(state_a.mf, state_b.mf)
     assert np.array_equal(state_a.male_fertile, state_b.male_fertile)
@@ -221,7 +225,7 @@ def test_mda_zero_coverage_is_identity():
 
 def test_mda_total_efficacy_clears_everyone():
     theta, state, rng = _endemic_state()
-    apply_mda(state, 1.0, PARAMS, rng, mf_kill=1.0, worm_sterilise=1.0)
+    apply_mda(state, 1.0, replace(PARAMS, mda_mf_kill=1.0, mda_worm_sterilise=1.0), rng)
     assert np.all(state.mf == 0.0)
     assert int(state.male_fertile.sum() + state.female_fertile.sum()) == 0
     assert int(state.male_sterile.sum() + state.female_sterile.sum()) > 0
@@ -237,7 +241,7 @@ def test_mda_default_efficacies():
 def test_mda_coverage_and_adherence_autocorrelation():
     rng = np.random.default_rng(9)
     theta = make_theta(population=10_000)
-    state = initial_state(theta, PARAMS, rng, seed_worms_per_sex=0.0)
+    state = initial_state(theta, UNINFECTED, rng)
     coverage = 0.65
     fractions = []
     corr_counts = []
@@ -263,37 +267,30 @@ def test_mda_suppresses_mf_production():
 
 def test_equilibrium_prevalence_zero_without_importation_or_seed():
     theta = make_theta(imp=0.0)
-    prev, _ = run_to_equilibrium(
-        theta, PARAMS, seed=10, burn_in_months=60, seed_worms_per_sex=0.0
-    )
+    prev, _ = run_to_equilibrium(theta, replace(UNINFECTED, burn_in_months=60), seed=10)
     assert prev == 0.0
 
 
 def test_equilibrium_high_transmission_high_prevalence():
     theta = make_theta(population=400, vh=150.0, k=3.0)
-    prev, _ = run_to_equilibrium(theta, PARAMS, seed=11, burn_in_months=600)
+    prev, _ = run_to_equilibrium(theta, replace(PARAMS, burn_in_months=600), seed=11)
     assert prev > 0.85
 
 
 def test_no_intervention_scenario_stationary():
     # at a large population the equilibrium is tight: yearly drift under 2%
     theta = make_theta(population=5000)
-    _, eq = run_to_equilibrium(theta, PARAMS, seed=12, burn_in_months=720)
-    traj = run_scenario(eq, Scenario.none(5), theta, PARAMS, seed=13)
+    _, eq = run_to_equilibrium(theta, replace(PARAMS, burn_in_months=720), seed=12)
+    traj = run_scenario(eq, Scenario(name="none", years=5), theta, PARAMS, seed=13)
     assert np.all(np.abs(traj - traj[0]) < 0.02)
 
 
 def test_full_coverage_perfect_efficacy_monotone_decline():
     theta = make_theta(population=400, imp=0.0)
-    _, eq = run_to_equilibrium(theta, PARAMS, seed=14, burn_in_months=600)
-    scenario = Scenario.annual(1.0, years=5, name="ideal").__class__(
-        name="ideal",
-        years=5,
-        rounds=tuple((12 * i, 1.0) for i in range(5)),
-        mf_kill=1.0,
-        worm_sterilise=1.0,
-    )
-    traj = run_scenario(eq, scenario, theta, PARAMS, seed=15)
+    _, eq = run_to_equilibrium(theta, replace(PARAMS, burn_in_months=600), seed=14)
+    scenario = Scenario(name="ideal", years=5, rounds=tuple((12 * i, 1.0) for i in range(5)))
+    perfect = replace(PARAMS, mda_mf_kill=1.0, mda_worm_sterilise=1.0)
+    traj = run_scenario(eq, scenario, theta, perfect, seed=15)
     assert np.all(np.diff(traj) <= 0.0)
     assert traj[-1] < 0.02
 
@@ -304,7 +301,7 @@ def test_biannual_at_least_as_effective_as_annual():
     for scenario in (Scenario.annual(0.65, 5), Scenario.biannual(0.65, 5)):
         finals = []
         for i in range(12):
-            _, eq = run_to_equilibrium(theta, PARAMS, seed=100 + i, burn_in_months=600)
+            _, eq = run_to_equilibrium(theta, replace(PARAMS, burn_in_months=600), seed=100 + i)
             finals.append(run_scenario(eq, scenario, theta, PARAMS, seed=500 + i)[-1])
         means[scenario.name] = np.mean(finals)
     assert means["bMDA65"] <= means["aMDA65"]
@@ -321,6 +318,9 @@ def test_scenario_builders_and_validation():
         Scenario(name="bad", years=5, rounds=((12, 0.5), (0, 0.5)))
     with pytest.raises(ValueError):
         Scenario(name="bad", years=5, rounds=((0, 1.5),))
+    for rounds in (((-3, 0.5),), ((12, 0.5),), ((-3, 0.5), (40, 0.5))):
+        with pytest.raises(ValueError, match="round months"):
+            Scenario(name="bad", years=1, rounds=rounds)
 
 
 def test_importation_decay_from_pilot():
@@ -335,17 +335,17 @@ def test_importation_decay_from_pilot():
 
 def test_scenario_importation_decay_used():
     theta = make_theta(population=300, vh=1.0, imp=0.02)
-    _, eq = run_to_equilibrium(theta, PARAMS, seed=16, burn_in_months=60)
-    held = Scenario.none(3)
-    dropped = Scenario.none(3).with_decay([0.0, 0.0, 0.0])
+    _, eq = run_to_equilibrium(theta, replace(PARAMS, burn_in_months=60), seed=16)
+    held = Scenario(name="none", years=3)
+    dropped = Scenario(name="none", years=3).with_decay([0.0, 0.0, 0.0])
     worms = []
     for scenario in (held, dropped):
         state = eq.copy()
         rng = np.random.default_rng(17)
         for month in range(36):
-            step(state, theta, PARAMS, rng,
-                 importation_rate=theta.importation_rate
-                 * (1.0 if scenario.importation_decay is None
-                    else scenario.importation_decay[month // 12]))
+            decay = (1.0 if scenario.importation_decay is None
+                     else scenario.importation_decay[month // 12])
+            step(state, replace(theta, importation_rate=theta.importation_rate * decay),
+                 PARAMS, rng)
         worms.append(int(state.male_worms.sum() + state.female_worms.sum()))
     assert worms[1] < worms[0]
