@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -179,22 +178,20 @@ def cmd_weight(args) -> int:
         ess_floor=config.ess_floor,
     )
 
-    # warnings are derived from result flags (not live emission) so serial and
-    # parallel runs report identically
-    with warnings.catch_warnings(record=True) as captured:
-        warnings.simplefilter("always")
-        units, excluded = pool_and_filter(
-            pixels,
-            min_population=config.pooling_min_population,
-            max_population=config.pooling_max_population,
-        )
-        caught = [str(w.message) for w in captured]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        weights = weight_all(units, bank, weight_config, workers=args.workers)
-    for w in weights:
-        if w.low_ess:
-            caught.append(f"unit {w.unit_id}: low effective sample size {w.ess:.1f}")
+    units, excluded = pool_and_filter(
+        pixels,
+        min_population=config.pooling_min_population,
+        max_population=config.pooling_max_population,
+    )
+    weights = weight_all(units, bank, weight_config, workers=args.workers)
+    caught = [
+        f"country {u.country}: pooled unit of {len(u.member_pixel_ids)} pixel(s) only reaches "
+        f"population {u.population:.0f} (minimum {config.pooling_min_population:.0f})"
+        for u in units
+        if u.undersized
+    ] + [
+        f"unit {w.unit_id}: low effective sample size {w.ess:.1f}" for w in weights if w.low_ess
+    ]
 
     mio.save_weights(out, units, weights)
     mio.write_excluded_pixels(out / "excluded_pixels.csv", excluded)
@@ -223,13 +220,12 @@ def cmd_project(args) -> int:
     config = mio.RunConfig.from_json(args.config) if args.config else mio.RunConfig()
     bank, bank_manifest = mio.load_simulation_bank(Path(args.bank))
     weights = mio.load_weights(Path(args.weights))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     scenario_names = args.scenario or bank_manifest["scenarios"]
     missing = [s for s in scenario_names if s not in bank.trajectories]
     if missing:
-        raise SystemExit(f"scenario(s) {missing} not present in the bank")
+        raise ValueError(f"scenario(s) {missing} not present in the bank")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     summaries = []
     for scenario in scenario_names:
@@ -297,12 +293,7 @@ def cmd_toy_validate(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    directory = Path(args.path)
-    try:
-        manifest = mio.load_manifest(directory, verify=not args.no_verify)
-    except Exception as err:  # manifest missing or corrupt
-        print(f"inspect: {err}", file=sys.stderr)
-        return 1
+    manifest = mio.load_manifest(Path(args.path), verify=not args.no_verify)
     print(f"schema:   {manifest.get('schema', 'unknown')}")
     for key in ("seed", "j", "years", "units", "scenarios"):
         if key in manifest:
@@ -369,7 +360,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:  # bad input; DegenerateWeightsError included
+    except (OSError, ValueError) as err:  # bad or missing input, DegenerateWeightsError too
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -14,6 +14,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
+import types
+import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -38,10 +41,8 @@ __all__ = [
     "SCHEMA_VERSIONS",
     "load_manifest",
     "load_pixel_posteriors",
-    "load_population_proposal",
     "load_simulation_bank",
     "load_weights",
-    "read_summary_rows",
     "save_population_proposal",
     "save_pixel_posteriors",
     "save_weights",
@@ -100,6 +101,32 @@ def _open_schema_csv(path: Path, kind: str):
     return fh
 
 
+def _has_type(value, hint) -> bool:
+    """``isinstance`` for the annotations of ``RunConfig``.
+
+    A float accepts an int, neither accepts a bool, and a tuple accepts a
+    list (JSON has no tuples), item by item.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_has_type(value, a) for a in args)
+    if origin is tuple:
+        if not isinstance(value, (tuple, list)):
+            return False
+        items = args[:1] * len(value) if args[-1:] == (Ellipsis,) else args
+        return len(items) == len(value) and all(map(_has_type, value, items))
+    if hint in (int, float):
+        kind = numbers.Integral if hint is int else numbers.Real
+        return isinstance(value, kind) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
+def _scenario_key(spec: dict, key: str):
+    if key not in spec:
+        raise ValueError(f"scenario {spec!r} has no {key!r}")
+    return spec[key]
+
+
 # ---------------------------------------------------------------------------
 # Run configuration
 # ---------------------------------------------------------------------------
@@ -139,6 +166,10 @@ class RunConfig:
     fail_on_warnings: bool = False
 
     def __post_init__(self):
+        for name, hint in _RUN_CONFIG_TYPES.items():
+            value = getattr(self, name)
+            if not _has_type(value, hint):
+                raise ValueError(f"config key {name!r} has the wrong type: {value!r}")
         if self.j_simulations < 1 or self.years < 1:
             raise ValueError("need at least one simulation and one year")
         if self.ernd_kind not in ("distance", "histogram", "discrepancy"):
@@ -174,12 +205,6 @@ class RunConfig:
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "population_range" in raw:
-            raw["population_range"] = tuple(raw["population_range"])
-        if "scenarios" in raw:
-            raw["scenarios"] = tuple(raw["scenarios"])
-        if "probability_thresholds" in raw:
-            raw["probability_thresholds"] = tuple(raw["probability_thresholds"])
         return cls(**raw)
 
     def to_jsonable(self) -> dict:
@@ -208,21 +233,18 @@ class RunConfig:
             name = str(spec_dict["name"]) if spec_dict.get("name") else None
             if kind == "none":
                 built.append(Scenario(name=name or "none", years=self.years))
-            elif kind == "annual":
-                built.append(Scenario.annual(spec_dict["coverage"], self.years, name=name))
-            elif kind == "biannual":
-                built.append(Scenario.biannual(spec_dict["coverage"], self.years, name=name))
+            elif kind in ("annual", "biannual"):
+                build = Scenario.annual if kind == "annual" else Scenario.biannual
+                built.append(build(_scenario_key(spec_dict, "coverage"), self.years, name=name))
             elif kind == "rounds":
-                built.append(
-                    Scenario(
-                        name=name or "custom",
-                        years=self.years,
-                        rounds=tuple((int(m), float(c)) for m, c in spec_dict["rounds"]),
-                    )
-                )
+                rounds = tuple((int(m), float(c)) for m, c in _scenario_key(spec_dict, "rounds"))
+                built.append(Scenario(name=name or "custom", years=self.years, rounds=rounds))
             else:
                 raise ValueError(f"unknown scenario kind {kind!r}")
         return built
+
+
+_RUN_CONFIG_TYPES = typing.get_type_hints(RunConfig)  # the annotations, evaluated once
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +291,6 @@ def save_population_proposal(path: Path, proposal: TabulatedProposal) -> None:
         writer.writerow(["population", "mass"])
         for n, m in zip(proposal.support, proposal.mass):
             writer.writerow([int(n), _fmt(m)])
-
-
-def load_population_proposal(path: Path) -> TabulatedProposal:
-    with _open_schema_csv(Path(path), "proposal") as fh:
-        rows = list(csv.DictReader(fh))
-    return TabulatedProposal(
-        support=np.array([int(r["population"]) for r in rows], dtype=np.int64),
-        mass=np.array([float(r["mass"]) for r in rows]),
-    )
 
 
 _PARAM_COLUMNS = [
@@ -335,22 +348,22 @@ def write_bank_shard(
 
 def _read_params_csv(path: Path) -> dict[str, np.ndarray]:
     with _open_schema_csv(path, "params") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != _PARAM_COLUMNS:
-            raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != _PARAM_COLUMNS:
+            raise ValueError(f"{path}: unexpected columns {header}")
         rows = list(reader)
+    # columns 1 and 5 of _PARAM_COLUMNS; the others are not read back
     return {
-        "population": np.array([int(r["population"]) for r in rows], dtype=np.int64),
-        "population_proposal_mass": np.array(
-            [float(r["population_proposal_mass"]) for r in rows]
-        ),
+        "population": np.array([int(r[1]) for r in rows], dtype=np.int64),
+        "population_proposal_mass": np.array([float(r[5]) for r in rows]),
     }
 
 
-def load_simulation_bank(directory: Path, verify: bool = True) -> tuple[SimulationBank, dict]:
+def load_simulation_bank(directory: Path) -> tuple[SimulationBank, dict]:
     """Assemble the bank from its shards, in shard order; returns (bank, manifest)."""
     directory = Path(directory)
-    manifest = load_manifest(directory, verify=verify)
+    manifest = load_manifest(directory)
     shards = sorted(manifest["shards"], key=lambda s: s["index"])
     columns: dict[str, list[np.ndarray]] = {}
     eq_parts, traj_parts = [], {}
@@ -528,11 +541,6 @@ def write_population_recovery(
         fh.write("unit_id,estimated_population,ess\n")
         for w in sorted(weights, key=lambda w: w.unit_id):
             fh.write(f"{w.unit_id},{estimated_population(w, bank)!r},{w.ess!r}\n")
-
-
-def read_summary_rows(path: Path) -> list[dict]:
-    with _open_schema_csv(Path(path), "summary") as fh:
-        return list(csv.DictReader(fh))
 
 
 def write_elimination_csv(

@@ -10,7 +10,6 @@ elimination-probability summaries.
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -88,7 +87,7 @@ def pool_and_filter(
     as possible.  A pooled unit's posterior samples are the sample-wise
     population-weighted average of its members (sample indices align, so
     posterior correlation is preserved).  A country whose leftovers cannot
-    reach the minimum yields one undersized unit and a warning.
+    reach the minimum yields one unit flagged ``undersized``.
 
     Returns the units plus the ids of excluded pixels.
     """
@@ -127,14 +126,6 @@ def pool_and_filter(
             stacked = np.stack([p.samples for p in group])
             pooled = weights @ stacked / weights.sum()
             members = tuple(p.pixel_id for p in group)
-            undersized = total < min_population
-            if undersized:
-                warnings.warn(
-                    f"country {country}: pooled unit of {len(group)} pixel(s) only reaches "
-                    f"population {total:.0f} (minimum {min_population:.0f})",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
             units.append(
                 PooledUnit(
                     unit_id=members[0] if len(members) == 1 else "+".join(members),
@@ -142,7 +133,7 @@ def pool_and_filter(
                     member_pixel_ids=members,
                     population=total,
                     samples=pooled,
-                    undersized=undersized,
+                    undersized=total < min_population,
                 )
             )
     return units, excluded
@@ -223,14 +214,6 @@ def weight_pixel(unit: PooledUnit, bank: SimulationBank, config: WeightConfig) -
     values = dense[keep]
     values = values / values.sum()
     ess_value = ess(values)
-    low = ess_value < config.ess_floor
-    if low:
-        warnings.warn(
-            f"unit {unit.unit_id}: effective sample size {ess_value:.1f} below "
-            f"floor {config.ess_floor:.1f}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return PixelWeights(
         unit_id=unit.unit_id,
         bank_size=bank.size,
@@ -239,7 +222,7 @@ def weight_pixel(unit: PooledUnit, bank: SimulationBank, config: WeightConfig) -
         ess=ess_value,
         dropped_map_fraction=w2.dropped_map_fraction,
         clamp_count=w2.clamp_count,
-        low_ess=bool(low),
+        low_ess=ess_value < config.ess_floor,
     )
 
 
@@ -253,9 +236,7 @@ def _install_worker_task(fn, shared) -> None:
 
 def _run_worker_task(index: int):
     fn, shared = _WORKER_TASK
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # flags travel on the result objects
-        return fn(shared, index)
+    return fn(shared, index)
 
 
 def ordered_map(fn, shared, n: int, workers: int, chunksize: int) -> list:
@@ -263,8 +244,7 @@ def ordered_map(fn, shared, n: int, workers: int, chunksize: int) -> list:
 
     ``fn`` must be a module-level function so workers can find it.  The pool
     installs ``shared`` once per worker rather than sending it with every
-    task, and workers suppress warnings, so callers must report from flags
-    on the results.  Results follow the index order for any worker count.
+    task.  Results follow the index order for any worker count.
     """
     if workers <= 1:
         return [fn(shared, i) for i in range(n)]

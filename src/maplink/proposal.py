@@ -105,6 +105,9 @@ class TabulatedProposal:
 # Adaptive population proposal
 # ---------------------------------------------------------------------------
 
+_REFERENCE_CHUNK = 256  # reference pixels per block, bounding the (refs, support) temporaries
+
+
 def _pixel_ess_profile(
     support: np.ndarray,
     log_support: np.ndarray,
@@ -112,9 +115,8 @@ def _pixel_ess_profile(
     log_refs: np.ndarray,
     sigma: float,
     q: np.ndarray,
-    chunk: int = 256,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-reference-pixel ESS under q, and its prior-weighted profile over n.
+) -> np.ndarray:
+    """Prior-weighted profile over n of the reference pixels' ESS under q.
 
     A pixel with reported population N receives, per simulation, the
     large-bank effective sample size 1 / sum_m pi_N(m)^2 / q(m) where pi_N is
@@ -128,8 +130,8 @@ def _pixel_ess_profile(
     numer = np.zeros(support.size)
     denom = np.zeros(support.size)
     inv_support = 1.0 / support
-    for start in range(0, refs.size, chunk):
-        stop = min(start + chunk, refs.size)
+    for start in range(0, refs.size, _REFERENCE_CHUNK):
+        stop = min(start + _REFERENCE_CHUNK, refs.size)
         z = (log_support[None, :] - log_refs[start:stop, None]) / sigma
         p = np.exp(-0.5 * z * z) * inv_support[None, :]
         p /= p.sum(axis=1, keepdims=True)
@@ -140,7 +142,7 @@ def _pixel_ess_profile(
     profile = np.full(support.size, ess_refs.max())
     reached = denom > 0.0
     profile[reached] = numer[reached] / denom[reached]
-    return ess_refs, profile
+    return profile
 
 
 def adapt_population_proposal(
@@ -187,7 +189,7 @@ def adapt_population_proposal(
     for _ in range(iterations):
         if np.any(q <= 0.0):
             raise ValueError("proposal developed a support hole (zero mass inside the range)")
-        _, profile = _pixel_ess_profile(support, log_support, refs, log_refs, log_sd, q)
+        profile = _pixel_ess_profile(support, log_support, refs, log_refs, log_sd, q)
         q = q / profile
         q /= q.sum()
 

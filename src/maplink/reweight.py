@@ -22,7 +22,6 @@ shared read-only simulation bank.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -43,8 +42,8 @@ __all__ = [
     "select_delta",
 ]
 
-#: Smallest window width used when every simulated prevalence coincides and
-#: the automatic rule would return zero.
+#: Window width returned when every simulated prevalence coincides and the
+#: automatic rule would return zero.
 DELTA_FALLBACK = 1e-6
 
 _SUM_TOL = 1e-12
@@ -229,9 +228,13 @@ def select_delta(sims) -> float:
     For each simulated prevalence ``p_k`` the doubled distances
     ``2 |p_k - p_j|`` are ranked; the rule returns the largest third-ranked
     value over k, so that every window of half-width delta/2 contains at
-    least three simulations (counting ``p_k`` itself).  When all prevalences
-    coincide the rule would return zero; a tiny positive fallback is used
-    instead so the window estimators stay well defined.
+    least three simulations (counting ``p_k`` itself).
+
+    When all prevalences coincide the rule would return zero, and
+    ``DELTA_FALLBACK`` is returned instead so the window estimators stay
+    well defined.  Every window then holds the whole bank, so the weights do
+    not depend on delta, and the map mass the windows miss is recorded as
+    ``WeightVector.dropped_map_fraction``.
     """
     p = np.sort(np.asarray(sims, dtype=float))
     if p.size < 3:
@@ -247,14 +250,7 @@ def select_delta(sims) -> float:
     candidates.sort(axis=0)
     second_nearest = candidates[1]
     delta = 2.0 * float(second_nearest.max())
-    if delta <= 0.0:
-        warnings.warn(
-            "all simulated prevalences coincide; falling back to delta=%g" % DELTA_FALLBACK,
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return DELTA_FALLBACK
-    return delta
+    return DELTA_FALLBACK if delta <= 0.0 else delta
 
 
 # ---------------------------------------------------------------------------

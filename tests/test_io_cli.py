@@ -1,5 +1,6 @@
 """Tests for file schemas, manifests, configuration and the CLI chain."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -10,6 +11,13 @@ from maplink import io as mio
 from maplink.cli import main
 from maplink.pipeline import PixelPosterior, PixelWeights, PooledUnit, SimulationBank
 from maplink.proposal import ParameterVector, TabulatedProposal
+
+
+def read_schema_csv(path, kind):
+    """Rows of a maplink CSV as dicts, after checking its schema line."""
+    schema, *lines = Path(path).read_text().splitlines()
+    assert schema == f"# schema: {mio.SCHEMA_VERSIONS[kind]}"
+    return list(csv.DictReader(lines))
 
 
 # --- round trips -------------------------------------------------------------
@@ -40,9 +48,9 @@ def test_population_proposal_roundtrip(tmp_path):
     proposal = TabulatedProposal(support=np.arange(300, 350), mass=mass / mass.sum())
     path = tmp_path / "proposal.csv"
     mio.save_population_proposal(path, proposal)
-    again = mio.load_population_proposal(path)
-    assert np.array_equal(proposal.support, again.support)
-    assert np.array_equal(proposal.mass, again.mass)
+    rows = read_schema_csv(path, "proposal")
+    assert np.array_equal(proposal.support, [int(r["population"]) for r in rows])
+    assert np.array_equal(proposal.mass, [float(r["mass"]) for r in rows])
 
 
 def test_weights_roundtrip(tmp_path):
@@ -298,7 +306,7 @@ def test_cli_weight_and_project_chain(tmp_path):
     ) == 0
     assert (out / "summary_none.csv").exists()
     assert (out / "summary_aMDA65.csv").exists()
-    rows = mio.read_summary_rows(out / "summary_aMDA65.csv")
+    rows = read_schema_csv(out / "summary_aMDA65.csv", "summary")
     assert len(rows) == 3 * 3  # units x (years + 1)
     assert {r["scenario"] for r in rows} == {"aMDA65"}
     elim = (out / "proportion_eliminated.csv").read_text().splitlines()
@@ -307,7 +315,7 @@ def test_cli_weight_and_project_chain(tmp_path):
     assert len(recovery) == 2 + 3
 
 
-def test_cli_project_rejects_unknown_scenario(tmp_path):
+def test_cli_project_rejects_unknown_scenario(tmp_path, capsys):
     config = write_config(tmp_path)
     bank_dir = tmp_path / "bank"
     main(["simulate", "--config", str(config), "--out", str(bank_dir)])
@@ -315,10 +323,13 @@ def test_cli_project_rejects_unknown_scenario(tmp_path):
     weights = tmp_path / "weights"
     main(["weight", "--config", str(config), "--bank", str(bank_dir),
           "--pixels", str(pixels), "--out", str(weights), "--delta", "0.25"])
-    with pytest.raises(SystemExit):
-        main(["project", "--config", str(config), "--bank", str(bank_dir),
-              "--weights", str(weights), "--out", str(tmp_path / "s"),
-              "--scenario", "missing"])
+    capsys.readouterr()
+    assert main(["project", "--config", str(config), "--bank", str(bank_dir),
+                 "--weights", str(weights), "--out", str(tmp_path / "s"),
+                 "--scenario", "missing"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "missing" in err[0]
+    assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize("override, key", [
@@ -326,6 +337,8 @@ def test_cli_project_rejects_unknown_scenario(tmp_path):
     ({"model": {"l3_refernce": 1.0}}, "l3_refernce"),
     ({"model": {"l3_coupling": "none"}}, "l3_coupling"),
     ({"model": {"species": "aedes"}}, "species"),
+    ({"scenarios": [{"kind": "annual"}]}, "coverage"),
+    ({"years": "5"}, "years"),
 ])
 def test_cli_bad_config_is_one_line_error(tmp_path, capsys, override, key):
     config = write_config(tmp_path, **override)
@@ -334,6 +347,25 @@ def test_cli_bad_config_is_one_line_error(tmp_path, capsys, override, key):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, missing", [
+    (["simulate", "--config", "{tmp}/no.json", "--out", "{tmp}/out"], "no.json"),
+    (["weight", "--bank", "{tmp}/nobank", "--pixels", "{tmp}/pixels.csv", "--out", "{tmp}/out"],
+     "nobank"),
+    (["weight", "--bank", "{tmp}/bank", "--pixels", "{tmp}/nopixels.csv", "--out", "{tmp}/out"],
+     "nopixels.csv"),
+    (["inspect", "{tmp}/nodir"], "nodir"),
+])
+def test_cli_missing_input_is_one_line_error(tmp_path, capsys, command, missing):
+    config = write_config(tmp_path)
+    main(["simulate", "--config", str(config), "--out", str(tmp_path / "bank")])
+    make_pixel_file(tmp_path)
+    capsys.readouterr()
+    assert main([arg.format(tmp=tmp_path) for arg in command]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path / missing) in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_toy_validate_writes_table(tmp_path):

@@ -1,4 +1,4 @@
-"""Package-level checks: every exported name still exists, and no invariant is an `assert`."""
+"""Package-level checks: every exported name exists, no invariant is an `assert`, no warnings."""
 
 import ast
 import importlib
@@ -26,3 +26,24 @@ def test_module_has_no_assert(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_emits_no_warnings(path):
+    # stages report through flags on their results and `main` reports bad
+    # input, so a Python warning would be a second, unordered channel
+    nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+    imports = [
+        node.lineno
+        for node in nodes
+        if isinstance(node, ast.Import) and any(a.name == "warnings" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "warnings"
+    ]
+    uses = [
+        node.lineno
+        for node in nodes
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "warnings"
+    ]
+    assert imports + uses == []

@@ -1,7 +1,6 @@
 """Tests for pooling, per-pixel weighting and projection."""
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -89,11 +88,10 @@ def test_pooling_respects_country_borders():
     )
 
 
-def test_pooling_undersized_leftover_warns():
-    pixels = [make_pixel("tiny", population=80.0)]
-    with pytest.warns(RuntimeWarning):
-        units, _ = pool_and_filter(pixels)
-    assert units[0].undersized
+def test_pooling_undersized_leftover_flagged():
+    pixels = [make_pixel("tiny", population=80.0), make_pixel("big", population=500.0)]
+    units, _ = pool_and_filter(pixels)
+    assert {u.unit_id: u.undersized for u in units} == {"big": False, "tiny": True}
 
 
 def test_pooling_groups_as_small_as_possible():
@@ -104,10 +102,10 @@ def test_pooling_groups_as_small_as_possible():
         make_pixel("b", population=10.0),
         make_pixel("c", population=8.0),
     ]
-    with pytest.warns(RuntimeWarning):
-        units, _ = pool_and_filter(pixels)
-    sizes = sorted(len(u.member_pixel_ids) for u in units)
-    assert sizes == [1, 2]
+    units, _ = pool_and_filter(pixels)
+    assert [(u.member_pixel_ids, u.undersized) for u in units] == [
+        (("a", "b"), False), (("c",), True)
+    ]
 
 
 # --- stage-1 weights -----------------------------------------------------------
@@ -184,7 +182,7 @@ def test_weight_pixel_toy_cross_check():
     assert np.max(np.abs(qs - beta12)) < 0.03
 
 
-def test_weight_pixel_low_ess_flag_warns():
+def test_weight_pixel_low_ess_flag():
     bank = make_bank(j=400, seed=7)
     unit = PooledUnit(
         unit_id="narrow",
@@ -196,9 +194,9 @@ def test_weight_pixel_low_ess_flag_warns():
     config = WeightConfig(
         ernd=ErndConfig(kind="distance", delta=0.01), population_log_sd=0.5, ess_floor=50.0
     )
-    with pytest.warns(RuntimeWarning):
-        w = weight_pixel(unit, bank, config)
-    assert w.low_ess
+    w = weight_pixel(unit, bank, config)
+    assert w.low_ess and w.ess < 50.0
+    assert not weight_pixel(unit, bank, dataclasses.replace(config, ess_floor=w.ess)).low_ess
 
 
 def test_weight_all_order_and_worker_equivalence():
@@ -363,9 +361,7 @@ def test_high_prevalence_pixel_keeps_usable_ess():
     config = WeightConfig(
         ernd=ErndConfig(kind="distance", delta=0.01), population_log_sd=0.5, ess_floor=10
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        w = weight_pixel(unit, bank, config)
+    w = weight_pixel(unit, bank, config)
     assert w.ess > 200.0
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maplink.reweight import (
+    DELTA_FALLBACK,
     DegenerateWeightsError,
     ErndConfig,
     StepCdf,
@@ -140,9 +141,7 @@ def test_select_delta_equal_grid():
 
 
 def test_select_delta_degenerate_falls_back():
-    with pytest.warns(RuntimeWarning):
-        delta = select_delta(np.array([0.3, 0.3, 0.3]))
-    assert delta == pytest.approx(1e-6)
+    assert select_delta(np.array([0.3, 0.3, 0.3])) == DELTA_FALLBACK == 1e-6
 
 
 def test_select_delta_needs_three():
