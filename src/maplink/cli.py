@@ -113,13 +113,15 @@ def cmd_simulate(args) -> int:
         ]
 
     shard_size = config.simulate_shard_size
+    # a shard is reused only if it was written from the same bank settings
+    config_digest = config.bank_digest()
     shard_entries = []
     for shard_index, start in enumerate(range(0, config.j_simulations, shard_size)):
         stop = min(start + shard_size, config.j_simulations)
         shard_json = out / f"shard_{shard_index:04d}.json"
         if args.resume and shard_json.exists():
             entry = json.loads(shard_json.read_text())
-            if all(
+            if entry.get("config_sha256") == config_digest and all(
                 (out / name).exists()
                 and mio.sha256_file(out / name) == entry["sha256"][name]
                 for name in entry["sha256"]
@@ -137,7 +139,7 @@ def cmd_simulate(args) -> int:
         entry = mio.write_bank_shard(
             out, shard_index, start, thetas[start:stop], proposal_mass[start:stop], eq, traj
         )
-        entry_with_sums = dict(entry)
+        entry_with_sums = dict(entry, config_sha256=config_digest)
         entry_with_sums["sha256"] = {
             name: mio.sha256_file(out / name) for name in entry["files"].values()
         }

@@ -102,14 +102,16 @@ def _open_schema_csv(path: Path, kind: str):
 
 
 def _has_type(value, hint) -> bool:
-    """``isinstance`` for the annotations of ``RunConfig``.
+    """``isinstance`` for the annotations of ``RunConfig`` and ``ModelParams``.
 
-    A float accepts an int, neither accepts a bool, and a tuple accepts a
-    list (JSON has no tuples), item by item.
+    A float accepts an int, neither accepts a bool, a tuple accepts a list
+    (JSON has no tuples), item by item, and a ``Literal`` accepts its values.
     """
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return any(_has_type(value, a) for a in args)
+    if origin is typing.Literal:
+        return value in args
     if origin is tuple:
         if not isinstance(value, (tuple, list)):
             return False
@@ -121,9 +123,11 @@ def _has_type(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def _scenario_key(spec: dict, key: str):
+def _scenario_key(spec: dict, key: str, hint):
     if key not in spec:
         raise ValueError(f"scenario {spec!r} has no {key!r}")
+    if not _has_type(spec[key], hint):
+        raise ValueError(f"scenario {spec!r}: {key!r} has the wrong type")
     return spec[key]
 
 
@@ -190,9 +194,12 @@ class RunConfig:
         object.__setattr__(
             self, "probability_thresholds", tuple(float(t) for t in self.probability_thresholds)
         )
-        unknown = set(self.model) - set(ModelParams.__dataclass_fields__)
+        unknown = set(self.model) - set(_MODEL_TYPES)
         if unknown:
             raise ValueError(f"unknown model keys: {sorted(unknown)}")
+        for name, value in self.model.items():
+            if not _has_type(value, _MODEL_TYPES[name]):
+                raise ValueError(f"model key {name!r} has the wrong type: {value!r}")
         self.model_params()  # raises on an invalid model value
         names = [s.name for s in self.scenario_objects()]
         if len(set(names)) != len(names):
@@ -213,6 +220,17 @@ class RunConfig:
         out["scenarios"] = [dict(s) for s in self.scenarios]
         out["probability_thresholds"] = list(self.probability_thresholds)
         return out
+
+    def bank_digest(self) -> str:
+        """SHA-256 of everything a bank shard depends on.
+
+        That is every key but those only ``weight`` and ``project`` read, and
+        the content of the vector-ratio/aggregation grid file, if one is set.
+        """
+        payload = {k: v for k, v in self.to_jsonable().items() if k not in _WEIGHT_PROJECT_KEYS}
+        if self.vh_k_grid_path:
+            payload["vh_k_grid_sha256"] = sha256_file(Path(self.vh_k_grid_path))
+        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
     def ernd_config(self, delta: float | None = None, kind: str | None = None) -> ErndConfig:
         kind = kind or self.ernd_kind
@@ -235,16 +253,26 @@ class RunConfig:
                 built.append(Scenario(name=name or "none", years=self.years))
             elif kind in ("annual", "biannual"):
                 build = Scenario.annual if kind == "annual" else Scenario.biannual
-                built.append(build(_scenario_key(spec_dict, "coverage"), self.years, name=name))
+                coverage = _scenario_key(spec_dict, "coverage", float)
+                built.append(build(coverage, self.years, name=name))
             elif kind == "rounds":
-                rounds = tuple((int(m), float(c)) for m, c in _scenario_key(spec_dict, "rounds"))
+                rounds = _scenario_key(spec_dict, "rounds", tuple[tuple[int, float], ...])
+                rounds = tuple((int(m), float(c)) for m, c in rounds)
                 built.append(Scenario(name=name or "custom", years=self.years, rounds=rounds))
             else:
                 raise ValueError(f"unknown scenario kind {kind!r}")
         return built
 
 
-_RUN_CONFIG_TYPES = typing.get_type_hints(RunConfig)  # the annotations, evaluated once
+# keys a bank shard does not depend on: changing them keeps shards on resume
+_WEIGHT_PROJECT_KEYS = frozenset({
+    "ernd_kind", "delta", "histogram_bins", "unmatched", "pooling_min_population",
+    "pooling_max_population", "elimination_threshold", "probability_thresholds",
+    "ess_floor", "fail_on_warnings",
+})
+# the annotations, evaluated once
+_RUN_CONFIG_TYPES = typing.get_type_hints(RunConfig)
+_MODEL_TYPES = typing.get_type_hints(ModelParams)
 
 
 # ---------------------------------------------------------------------------

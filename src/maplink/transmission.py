@@ -280,15 +280,30 @@ def step(
     state.larvae_mean = equilibrium_l3(population_uptake(state, params), params)
     availability = state.larvae_mean / params.saturation_l3()
 
-    # adult worm dynamics
+    # adult worm dynamics, drawn as monthly totals and then placed (exact
+    # event thinning).  Acquisitions: the superposition of the per-host
+    # Poisson processes is Poisson with the summed rate, and each event lands
+    # on a host with probability proportional to its rate; a uniform in
+    # (0, total] maps to a host through the cumulative rates, never to one
+    # with zero rate.
     rate = acquisition_rate(state.bite_risk, state.age, theta, params) * availability
-    state.male_fertile += rng.poisson(rate)
-    state.female_fertile += rng.poisson(rate)
-    p_die = -np.expm1(-params.worm_death_rate)
-    state.male_fertile = rng.binomial(state.male_fertile, 1.0 - p_die)
-    state.male_sterile = rng.binomial(state.male_sterile, 1.0 - p_die)
-    state.female_fertile = rng.binomial(state.female_fertile, 1.0 - p_die)
-    state.female_sterile = rng.binomial(state.female_sterile, 1.0 - p_die)
+    cum_rate = np.cumsum(rate)
+    for pool in (state.male_fertile, state.female_fertile):
+        k = rng.poisson(cum_rate[-1])
+        if k:
+            u = np.sort(1.0 - rng.random(k)) * cum_rate[-1]
+            pool += np.bincount(np.searchsorted(cum_rate, u), minlength=n)
+    # Deaths: every worm dies with the same probability, so given their total
+    # D ~ Binomial(W, p) the dead are a uniform D-subset of the W worms, found
+    # in the four pools through the cumulative burden.
+    pools = (state.male_fertile, state.male_sterile, state.female_fertile, state.female_sterile)
+    cum_burden = np.cumsum(np.concatenate(pools))
+    n_dead_worms = rng.binomial(cum_burden[-1], -np.expm1(-params.worm_death_rate))
+    if n_dead_worms:
+        dead = np.sort(rng.choice(cum_burden[-1], n_dead_worms, replace=False, shuffle=False))
+        losses = np.bincount(np.searchsorted(cum_burden, dead, side="right"), minlength=4 * n)
+        for pool, loss in zip(pools, losses.reshape(4, n)):
+            pool -= loss
 
     # mf: dM/dt = production - gamma M, solved exactly over the step with the
     # updated worm burden held fixed
@@ -301,16 +316,17 @@ def step(
     state.mf = state.mf * decay + production / params.mf_death_rate * (1.0 - decay)
 
     # demography: constant hazard plus the hard age cut-off, replacement keeps
-    # the population size constant
+    # the population size constant; hazard deaths are drawn as a total and a
+    # uniform subset of hosts, like the worm deaths
     state.age += 1.0
-    died = (rng.uniform(size=n) < -np.expm1(-params.human_death_rate)) | (
-        state.age >= MAX_AGE_MONTHS
-    )
-    n_dead = int(died.sum())
-    if n_dead:
+    n_hazard = rng.binomial(n, -np.expm1(-params.human_death_rate))
+    died = np.flatnonzero(state.age >= MAX_AGE_MONTHS)
+    if n_hazard:
+        died = np.union1d(died, rng.choice(n, n_hazard, replace=False, shuffle=False))
+    if died.size:
         state.age[died] = 0.0
         state.bite_risk[died] = rng.gamma(
-            theta.aggregation_k, 1.0 / theta.aggregation_k, size=n_dead
+            theta.aggregation_k, 1.0 / theta.aggregation_k, size=died.size
         )
         state.male_fertile[died] = 0
         state.male_sterile[died] = 0

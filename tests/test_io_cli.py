@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from maplink import cli
 from maplink import io as mio
 from maplink.cli import main
 from maplink.pipeline import PixelPosterior, PixelWeights, PooledUnit, SimulationBank
@@ -285,6 +286,29 @@ def test_cli_simulate_resume_reuses_shards(tmp_path):
     assert read_all_bytes(out) == reference
 
 
+def test_cli_simulate_resume_recomputes_shards_of_another_config(tmp_path, monkeypatch):
+    config = write_config(tmp_path)
+    out = tmp_path / "bank"
+    main(["simulate", "--config", str(config), "--out", str(out)])
+    main(["simulate", "--config", str(config), "--out", str(tmp_path / "fresh"), "--seed", "2"])
+    # every shard of the seed-11 bank is stale under seed 2
+    assert main(
+        ["simulate", "--config", str(config), "--out", str(out), "--resume", "--seed", "2"]
+    ) == 0
+    assert read_all_bytes(out) == read_all_bytes(tmp_path / "fresh")
+
+    # a key only weight and project read leaves every shard current
+    def no_simulation(*args):
+        raise AssertionError("a current shard was simulated again")
+
+    monkeypatch.setattr(cli, "run_to_equilibrium", no_simulation)
+    config = write_config(tmp_path, ess_floor=5.0, delta=0.2)
+    assert main(
+        ["simulate", "--config", str(config), "--out", str(out), "--resume", "--seed", "2"]
+    ) == 0
+    assert mio.load_manifest(out)["config"]["ess_floor"] == 5.0
+
+
 def test_cli_weight_and_project_chain(tmp_path):
     config = write_config(tmp_path)
     bank_dir = tmp_path / "bank"
@@ -339,6 +363,13 @@ def test_cli_project_rejects_unknown_scenario(tmp_path, capsys):
     ({"model": {"species": "aedes"}}, "species"),
     ({"scenarios": [{"kind": "annual"}]}, "coverage"),
     ({"years": "5"}, "years"),
+    ({"model": {"burn_in_months": "36"}}, "burn_in_months"),
+    ({"model": {"species": 1}}, "species"),
+    ({"scenarios": [{"kind": "annual", "coverage": "0.65"}]}, "coverage"),
+    ({"scenarios": [{"kind": "biannual", "coverage": True}]}, "coverage"),
+    ({"scenarios": [{"kind": "rounds", "rounds": [[0, "0.5"]]}]}, "rounds"),
+    ({"scenarios": [{"kind": "rounds", "rounds": [[0.5, 0.5]]}]}, "rounds"),
+    ({"scenarios": [{"kind": "rounds", "rounds": [0, 0.5]}]}, "rounds"),
 ])
 def test_cli_bad_config_is_one_line_error(tmp_path, capsys, override, key):
     config = write_config(tmp_path, **override)

@@ -192,6 +192,107 @@ def test_step_importation_override():
     assert int(state.male_worms.sum() + state.female_worms.sum()) == 0
 
 
+# --- law of the worm events -----------------------------------------------------------
+#
+# Each test below steps R copies of one fixed state and compares the per-host
+# counts with the per-host law: Binomial deaths, Poisson acquisitions.  Human
+# deaths and importation are switched off, so the counts are pure worm events.
+# Means are held to 5 standard errors per host; the variance ratio, pooled over
+# hosts, has a standard error under 1% at R = 2000 and is held to 5%.
+
+REPS = 2000
+FROZEN = replace(PARAMS, human_death_rate=1e-15)  # ~4e-10 expected hazard deaths per test
+
+
+def _fixed_state(population=200, seed=20):
+    theta = make_theta(population=population, vh=150.0, k=3.0, imp=0.0)
+    rng = np.random.default_rng(seed)
+    state = initial_state(theta, PARAMS, rng)
+    state.age[:] = 300.0
+    return theta, state, rng
+
+
+def _pools(state):
+    return np.stack(
+        [state.male_fertile, state.male_sterile, state.female_fertile, state.female_sterile]
+    )
+
+
+def test_worm_deaths_are_binomial_per_host():
+    # mf = 0 shuts larval uptake off, so no worm is acquired within the step
+    params = replace(FROZEN, worm_death_rate=0.5)
+    p_die = -np.expm1(-params.worm_death_rate)
+    theta, state, rng = _fixed_state()
+    state.mf[:] = 0.0
+    state.male_sterile = rng.integers(0, 12, size=state.size)
+    state.female_sterile = rng.integers(0, 12, size=state.size)
+    held = _pools(state).ravel()
+    deaths = np.empty((REPS, held.size), dtype=np.int64)
+    for r in range(REPS):
+        after = _pools(step(state.copy(), theta, params, rng)).ravel()
+        assert np.all(after >= 0)  # no pool goes negative ...
+        deaths[r] = held - after   # ... and none loses more than it held
+    assert deaths.min() >= 0
+    mean, var = held * p_die, held * p_die * (1.0 - p_die)
+    assert np.all(np.abs(deaths.mean(axis=0) - mean) <= 5.0 * np.sqrt(var / REPS))
+    assert deaths.var(axis=0, ddof=1).sum() / var.sum() == pytest.approx(1.0, abs=0.05)
+    assert np.all(deaths[:, held == 0] == 0)
+
+
+def test_worm_acquisitions_are_poisson_per_host():
+    # a worm death rate of 1e-12 leaves ~3e-6 expected deaths over the whole test
+    params = replace(FROZEN, worm_death_rate=1e-12)
+    theta, state, rng = _fixed_state()
+    state.age[:20] = 0.0  # newborns: zero exposure
+    availability = equilibrium_l3(population_uptake(state, params), params) / (
+        params.saturation_l3()
+    )
+    rate = acquisition_rate(state.bite_risk, state.age, theta, params) * availability
+    before = np.stack([state.male_fertile, state.female_fertile])
+    gained = np.empty((REPS, 2, state.size), dtype=np.int64)
+    for r in range(REPS):
+        after = step(state.copy(), theta, params, rng)
+        gained[r] = np.stack([after.male_fertile, after.female_fertile]) - before
+    assert np.all(gained[:, :, :20] == 0)
+    assert gained.min() >= 0
+    for sex in range(2):
+        per_host = gained[:, sex, 20:]
+        lam = rate[20:]
+        assert np.all(np.abs(per_host.mean(axis=0) - lam) <= 5.0 * np.sqrt(lam / REPS))
+        assert per_host.var(axis=0, ddof=1).sum() / lam.sum() == pytest.approx(1.0, abs=0.05)
+
+
+class _RecordingGenerator:
+    """Passes every call through to a Generator and records its arguments."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def record(*args, **kwargs):
+            self.calls.append((name, args + tuple(kwargs.values())))
+            return method(*args, **kwargs)
+
+        return record
+
+
+def test_step_draws_worm_events_as_totals_not_per_host():
+    theta = make_theta(population=5000)
+    rng = np.random.default_rng(21)
+    state = initial_state(theta, PARAMS, rng)
+    for _ in range(120):
+        step(state, theta, PARAMS, rng)
+    recorder = _RecordingGenerator(rng)
+    for _ in range(3):
+        step(state, theta, PARAMS, recorder)
+    counts = [(name, args) for name, args in recorder.calls if name in ("poisson", "binomial")]
+    assert {name for name, _ in counts} == {"poisson", "binomial"}
+    assert all(np.ndim(a) == 0 for _, args in counts for a in args)
+
+
 def test_reproducibility_same_seed_same_trajectory():
     theta = make_theta(population=200)
     params = replace(PARAMS, burn_in_months=120)
