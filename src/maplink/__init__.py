@@ -12,7 +12,6 @@ from .pipeline import (
     PooledUnit,
     ProjectionSummary,
     SimulationBank,
-    WeightConfig,
     estimated_population,
     pool_and_filter,
     project,
@@ -32,7 +31,6 @@ from .proposal import (
 )
 from .reweight import (
     DegenerateWeightsError,
-    ErndConfig,
     StepCdf,
     WeightVector,
     apply_ernd,

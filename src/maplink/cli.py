@@ -15,20 +15,16 @@ and is deterministic for a given seed regardless of ``--workers``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import io as mio
-from .pipeline import (
-    WeightConfig,
-    ordered_map,
-    pool_and_filter,
-    project,
-    weight_all,
-)
+from .pipeline import ordered_map, pool_and_filter, project, weight_all
 from .proposal import adapt_population_proposal, default_vh_k_grid, load_vh_k_grid, sample_bank
 from .toy import run_toy_experiment, summarize_reports
 from .transmission import (
@@ -36,6 +32,17 @@ from .transmission import (
     run_scenario,
     run_to_equilibrium,
 )
+
+# the names of the files a bank shard writes (see io.write_bank_shard)
+_SHARD_FILE = re.compile(r"shard_\d{4,}\.json|params_s\d{4,}\.csv|equilibrium_s\d{4,}\.npy"
+                         r"|traj_.+_s\d{4,}\.npy")
+
+
+def _run_config(args, **overrides) -> mio.RunConfig:
+    """``--config`` (or the defaults) with every override that is not ``None``."""
+    config = mio.RunConfig.from_json(args.config) if args.config else mio.RunConfig()
+    return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
+
 
 def _simulate_one(shared, sim_index: int):
     """Equilibrium plus one trajectory per scenario for one parameter draw.
@@ -57,9 +64,7 @@ def _simulate_one(shared, sim_index: int):
 
 
 def cmd_simulate(args) -> int:
-    config = mio.RunConfig.from_json(args.config) if args.config else mio.RunConfig()
-    if args.seed is not None:
-        config = mio.RunConfig(**{**config.to_jsonable(), "seed": args.seed})
+    config = _run_config(args, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     params = config.model_params()
@@ -146,6 +151,12 @@ def cmd_simulate(args) -> int:
         shard_json.write_text(json.dumps(entry_with_sums, indent=2, sort_keys=True) + "\n")
         shard_entries.append(entry)
 
+    # drop shard files of an earlier, larger plan so the manifest never lists them
+    kept = {f"shard_{e['index']:04d}.json" for e in shard_entries}
+    kept.update(name for e in shard_entries for name in e["files"].values())
+    for path in out.iterdir():
+        if _SHARD_FILE.fullmatch(path.name) and path.name not in kept:
+            path.unlink()
     mio.write_manifest(
         out,
         {
@@ -167,25 +178,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_weight(args) -> int:
-    config = mio.RunConfig.from_json(args.config) if args.config else mio.RunConfig()
+    config = _run_config(args, delta=args.delta, ernd_kind=args.ernd)
     bank, _ = mio.load_simulation_bank(Path(args.bank))
     pixels = mio.load_pixel_posteriors(Path(args.pixels))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    ernd = config.ernd_config(delta=args.delta, kind=args.ernd)
-    weight_config = WeightConfig(
-        ernd=ernd,
-        population_log_sd=config.population_log_sd,
-        ess_floor=config.ess_floor,
-    )
 
     units, excluded = pool_and_filter(
         pixels,
         min_population=config.pooling_min_population,
         max_population=config.pooling_max_population,
     )
-    weights = weight_all(units, bank, weight_config, workers=args.workers)
+    weights = weight_all(units, bank, config, workers=args.workers)
     caught = [
         f"country {u.country}: pooled unit of {len(u.member_pixel_ids)} pixel(s) only reaches "
         f"population {u.population:.0f} (minimum {config.pooling_min_population:.0f})"
@@ -219,7 +223,7 @@ def cmd_weight(args) -> int:
 
 
 def cmd_project(args) -> int:
-    config = mio.RunConfig.from_json(args.config) if args.config else mio.RunConfig()
+    config = _run_config(args)
     bank, bank_manifest = mio.load_simulation_bank(Path(args.bank))
     weights = mio.load_weights(Path(args.weights))
     scenario_names = args.scenario or bank_manifest["scenarios"]

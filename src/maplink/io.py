@@ -19,7 +19,7 @@ import types
 import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .pipeline import (
     estimated_population,
 )
 from .proposal import ParameterVector, TabulatedProposal
-from .reweight import ErndConfig
 from .toy import ToyExperimentReport
 from .transmission import ModelParams, Scenario
 
@@ -142,10 +141,10 @@ class RunConfig:
     seed: int = 0
     j_simulations: int = 1000
     years: int = 5
-    ernd_kind: str = "distance"
-    delta: float | None = 0.01
+    ernd_kind: Literal["distance", "histogram", "discrepancy"] = "distance"
+    delta: float | None = 0.01  # None: choose per pixel with reweight.select_delta
     histogram_bins: int = 100
-    unmatched: str = "drop"
+    unmatched: Literal["drop", "transfer"] = "drop"
     population_log_sd: float = 0.5
     population_range: tuple[int, int] = (260, 10_000)
     population_tail_to: int = 11_550
@@ -176,8 +175,10 @@ class RunConfig:
                 raise ValueError(f"config key {name!r} has the wrong type: {value!r}")
         if self.j_simulations < 1 or self.years < 1:
             raise ValueError("need at least one simulation and one year")
-        if self.ernd_kind not in ("distance", "histogram", "discrepancy"):
-            raise ValueError(f"unknown ERND kind {self.ernd_kind!r}")
+        if self.delta is not None and not 0.0 < self.delta < float("inf"):
+            raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
+        if self.histogram_bins < 1:
+            raise ValueError(f"histogram_bins must be at least 1, got {self.histogram_bins!r}")
         if not 0.0 < self.population_log_sd < float("inf"):
             raise ValueError(
                 f"population_log_sd must be positive and finite, got {self.population_log_sd!r}"
@@ -231,15 +232,6 @@ class RunConfig:
         if self.vh_k_grid_path:
             payload["vh_k_grid_sha256"] = sha256_file(Path(self.vh_k_grid_path))
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-    def ernd_config(self, delta: float | None = None, kind: str | None = None) -> ErndConfig:
-        kind = kind or self.ernd_kind
-        return ErndConfig(
-            kind=kind,  # type: ignore[arg-type]
-            delta=delta if delta is not None else self.delta,
-            bin_edges=ErndConfig.equal_bins(self.histogram_bins) if kind == "histogram" else None,
-            unmatched=self.unmatched,  # type: ignore[arg-type]
-        )
 
     def model_params(self) -> ModelParams:
         return ModelParams(**self.model)

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .proposal import population_prior_density
-from .reweight import ErndConfig, apply_ernd, ess
+from .reweight import apply_ernd, ess
+
+if TYPE_CHECKING:  # io imports this module
+    from .io import RunConfig
 
 __all__ = [
     "PixelPosterior",
@@ -25,7 +28,6 @@ __all__ = [
     "PooledUnit",
     "ProjectionSummary",
     "SimulationBank",
-    "WeightConfig",
     "estimated_population",
     "ordered_map",
     "pool_and_filter",
@@ -167,15 +169,6 @@ class SimulationBank:
 
 
 @dataclass(frozen=True)
-class WeightConfig:
-    """Knobs for per-pixel weighting."""
-
-    ernd: ErndConfig = field(default_factory=lambda: ErndConfig(kind="distance", delta=0.01))
-    population_log_sd: float = 0.5
-    ess_floor: float = 100.0
-
-
-@dataclass(frozen=True)
 class PixelWeights:
     """Sparse normalised weights of one unit over the bank."""
 
@@ -201,13 +194,14 @@ def stage1_population_weights(
     return prior / bank.population_proposal_mass
 
 
-def weight_pixel(unit: PooledUnit, bank: SimulationBank, config: WeightConfig) -> PixelWeights:
+def weight_pixel(unit: PooledUnit, bank: SimulationBank, config: RunConfig) -> PixelWeights:
     """Stage-1 population reweighting composed with the configured estimator."""
     try:
         w1 = stage1_population_weights(bank, unit.population, config.population_log_sd)
     except ValueError as err:
         raise ValueError(f"unit {unit.unit_id}: {err}") from err
-    w2 = apply_ernd(unit.samples, bank.equilibrium_prevalence, w1, config.ernd)
+    w2 = apply_ernd(unit.samples, bank.equilibrium_prevalence, w1, config.ernd_kind,
+                    config.delta, config.histogram_bins, config.unmatched)
 
     dense = w2.weights
     keep = dense >= dense.max() * SPARSE_THRESHOLD
@@ -262,7 +256,7 @@ def _weight_one(shared, index: int) -> PixelWeights:
 def weight_all(
     units: Sequence[PooledUnit],
     bank: SimulationBank,
-    config: WeightConfig,
+    config: RunConfig,
     workers: int = 1,
 ) -> list[PixelWeights]:
     """Weight every unit against the bank; order follows the input exactly.

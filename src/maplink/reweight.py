@@ -29,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "DegenerateWeightsError",
-    "ErndConfig",
     "StepCdf",
     "WeightVector",
     "apply_ernd",
@@ -94,44 +93,6 @@ class WeightVector:
         if total <= 0.0:
             raise DegenerateWeightsError("all weights are zero")
         return cls(weights=raw / total, **diagnostics)
-
-
-@dataclass(frozen=True)
-class ErndConfig:
-    """Which empirical Radon-Nikodym derivative to use, and its knobs.
-
-    ``delta`` applies to the distance kind; ``None`` means choose it per
-    pixel with :func:`select_delta`.  ``bin_edges`` applies to the histogram
-    kind and must partition [0, 1].  ``unmatched`` controls what happens to
-    map mass falling in histogram bins containing no simulation: ``"drop"``
-    discards it (recorded in diagnostics), ``"transfer"`` moves it to the
-    nearest bin that does contain simulations.
-    """
-
-    kind: Literal["distance", "histogram", "discrepancy"] = "distance"
-    delta: float | None = 0.01
-    bin_edges: np.ndarray | None = None
-    unmatched: Literal["drop", "transfer"] = "drop"
-
-    def __post_init__(self):
-        if self.kind not in ("distance", "histogram", "discrepancy"):
-            raise ValueError(f"unknown ERND kind {self.kind!r}")
-        if self.kind == "distance" and self.delta is not None and not self.delta > 0:
-            raise ValueError("delta must be positive")
-        if self.unmatched not in ("drop", "transfer"):
-            raise ValueError(f"unknown unmatched policy {self.unmatched!r}")
-        if self.bin_edges is not None:
-            edges = np.asarray(self.bin_edges, dtype=float)
-            if edges.ndim != 1 or edges.size < 2:
-                raise ValueError("bin_edges must hold at least two edges")
-            if edges[0] != 0.0 or edges[-1] != 1.0 or np.any(np.diff(edges) <= 0):
-                raise ValueError("bin_edges must increase strictly from 0 to 1")
-            object.__setattr__(self, "bin_edges", edges)
-
-    @staticmethod
-    def equal_bins(n_bins: int) -> np.ndarray:
-        """Edges of ``n_bins`` equal-width bins partitioning [0, 1]."""
-        return np.linspace(0.0, 1.0, n_bins + 1)
 
 
 def ess(weights) -> float:
@@ -269,7 +230,14 @@ def _window_weight_sums(
     cum = np.concatenate(([0.0], np.cumsum(sorted_weights)))
     lo = np.searchsorted(sorted_values, centers - delta / 2.0, side="left")
     hi = np.searchsorted(sorted_values, centers + delta / 2.0, side="right")
-    return cum[hi] - cum[lo]
+    sums = cum[hi] - cum[lo]
+    # cum[hi] - cum[lo] is off by about eps * cum[hi], which swamps a window
+    # much lighter than the weight sorted before it (w1 can span many
+    # decades); such windows are summed directly
+    lossy = np.flatnonzero(sums < 1e-6 * cum[hi])
+    bounds = np.stack((lo[lossy], hi[lossy]), axis=1).ravel()
+    sums[lossy] = np.add.reduceat(np.append(sorted_weights, 0.0), bounds)[::2]
+    return sums
 
 
 def _unmatched_map_fraction(map_values: np.ndarray, covered: np.ndarray, delta: float) -> float:
@@ -412,12 +380,21 @@ def discrepancy_ernd(pixel, sims) -> WeightVector:
     return WeightVector.from_unnormalized(raw, clamp_count=clamped)
 
 
-def apply_ernd(pixel, sims, w1, config: ErndConfig) -> WeightVector:
-    """Dispatch to the configured estimator, resolving an automatic delta."""
-    if config.kind == "distance":
-        delta = config.delta if config.delta is not None else select_delta(sims)
-        return distance_ernd(pixel, sims, w1, delta)
-    if config.kind == "histogram":
-        edges = config.bin_edges if config.bin_edges is not None else ErndConfig.equal_bins(100)
-        return histogram_ernd(pixel, sims, w1, edges, unmatched=config.unmatched)
-    return discrepancy_ernd(pixel, sims)
+def apply_ernd(
+    pixel, sims, w1, kind: Literal["distance", "histogram", "discrepancy"],
+    delta: float | None = None, histogram_bins: int = 100,
+    unmatched: Literal["drop", "transfer"] = "drop",
+) -> WeightVector:
+    """Run the ``kind`` estimator on one pixel.
+
+    A ``None`` delta is chosen with :func:`select_delta`; the histogram has
+    ``histogram_bins`` equal-width bins on [0, 1].
+    """
+    if kind == "distance":
+        return distance_ernd(pixel, sims, w1, delta if delta is not None else select_delta(sims))
+    if kind == "histogram":
+        edges = np.linspace(0.0, 1.0, histogram_bins + 1)
+        return histogram_ernd(pixel, sims, w1, edges, unmatched=unmatched)
+    if kind == "discrepancy":
+        return discrepancy_ernd(pixel, sims)
+    raise ValueError(f"unknown ERND kind {kind!r}")

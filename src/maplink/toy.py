@@ -16,7 +16,6 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .reweight import (
-    ErndConfig,
     StepCdf,
     apply_ernd,
     integrated_squared_distance,
@@ -152,12 +151,7 @@ def _one_replicate(
     delta: float | None = None
     if ernd_kind == "distance":
         delta = float(delta_policy) if delta_policy is not None else select_delta(sims)
-    config = ErndConfig(
-        kind=ernd_kind,  # type: ignore[arg-type]
-        delta=delta,
-        bin_edges=ErndConfig.equal_bins(100) if ernd_kind == "histogram" else None,
-    )
-    w2 = apply_ernd(pixel, sims, w1, config)
+    w2 = apply_ernd(pixel, sims, w1, ernd_kind, delta)
 
     map_cdf = StepCdf.from_samples(pixel)
     sim_cdf = StepCdf.from_samples(sims, weights=w2.weights)

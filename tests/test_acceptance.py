@@ -17,14 +17,12 @@ from maplink.cli import main
 from maplink.pipeline import (
     PooledUnit,
     SimulationBank,
-    WeightConfig,
     estimated_population,
     weight_pixel,
     weighted_quantile,
 )
 from maplink.proposal import ParameterVector, adapt_population_proposal
 from maplink.reweight import (
-    ErndConfig,
     StepCdf,
     discrepancy_ernd,
     distance_ernd,
@@ -347,11 +345,7 @@ def test_criterion_8_synthetic_map_reproduction():
         equilibrium_prevalence=rng.uniform(size=j),
         trajectories={},
     )
-    config = WeightConfig(
-        ernd=ErndConfig(kind="distance", delta=0.01),
-        population_log_sd=sigma,
-        ess_floor=1.0,
-    )
+    config = mio.RunConfig(delta=0.01, population_log_sd=sigma, ess_floor=1.0)
 
     worst_quantile = 0.0
     population_errors = []

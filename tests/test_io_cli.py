@@ -136,7 +136,7 @@ def test_run_config_from_json_and_validation(tmp_path):
     path.write_text(json.dumps({"seed": 5, "j_simulations": 10, "delta": 0.02}))
     config = mio.RunConfig.from_json(path)
     assert config.seed == 5
-    assert config.ernd_config().delta == 0.02
+    assert config.delta == 0.02
 
     path.write_text(json.dumps({"nonsense": 1}))
     with pytest.raises(ValueError, match="unknown config keys"):
@@ -158,7 +158,21 @@ def test_run_config_rejects_bad_population_log_sd(log_sd):
 
 
 def test_run_config_default_delta_is_one_percent():
-    assert mio.RunConfig().ernd_config().delta == 0.01
+    assert mio.RunConfig().delta == 0.01
+
+
+@pytest.mark.parametrize("override, key", [
+    ({"ernd_kind": "kernel"}, "ernd_kind"),
+    ({"delta": -1.0}, "delta"),
+    ({"delta": 0.0}, "delta"),
+    ({"delta": float("inf")}, "delta"),
+    ({"delta": float("nan")}, "delta"),
+    ({"unmatched": "keep"}, "unmatched"),
+    ({"histogram_bins": 0}, "histogram_bins"),
+])
+def test_run_config_rejects_bad_weighting_setting(override, key):
+    with pytest.raises(ValueError, match=key):
+        mio.RunConfig(**override)
 
 
 def test_run_config_scenario_objects():
@@ -307,6 +321,59 @@ def test_cli_simulate_resume_recomputes_shards_of_another_config(tmp_path, monke
         ["simulate", "--config", str(config), "--out", str(out), "--resume", "--seed", "2"]
     ) == 0
     assert mio.load_manifest(out)["config"]["ess_floor"] == 5.0
+
+
+def test_cli_simulate_removes_shards_a_smaller_bank_no_longer_writes(tmp_path):
+    four_scenarios = mio.RunConfig().to_jsonable()["scenarios"]
+    out = tmp_path / "bank"
+    main(["simulate", "--config", str(write_config(tmp_path, scenarios=four_scenarios)),
+          "--out", str(out)])
+    config = write_config(tmp_path, scenarios=four_scenarios, j_simulations=5)
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--resume"]) == 0
+    manifest = mio.load_manifest(out)
+    assert len(manifest["shards"]) == 2
+    # population_proposal.csv and per shard its json, params, equilibrium
+    # and four trajectories
+    assert len(manifest["checksums"]) == 1 + 2 * 7
+    assert not list(out.glob("*0002*"))
+
+
+def test_cli_simulate_removes_trajectories_of_a_dropped_scenario(tmp_path):
+    out = tmp_path / "bank"
+    main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(out)])
+    (out / "notes.txt").write_text("not a shard file\n")
+    config = write_config(tmp_path, scenarios=[{"name": "none", "kind": "none"}])
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--resume"]) == 0
+    assert not list(out.glob("traj_aMDA65_*"))
+    assert (out / "notes.txt").exists()
+    assert set(mio.load_simulation_bank(out)[0].trajectories) == {"none"}
+
+
+def test_cli_weight_manifest_records_overrides(tmp_path):
+    config = write_config(tmp_path)
+    bank_dir = tmp_path / "bank"
+    main(["simulate", "--config", str(config), "--out", str(bank_dir)])
+    out = tmp_path / "weights"
+    assert main(["weight", "--config", str(config), "--bank", str(bank_dir),
+                 "--pixels", str(make_pixel_file(tmp_path)), "--out", str(out),
+                 "--delta", "0.25", "--ernd", "histogram"]) == 0
+    recorded = mio.load_manifest(out)["config"]
+    assert recorded["delta"] == 0.25
+    assert recorded["ernd_kind"] == "histogram"
+
+
+def test_cli_weight_rejects_bad_delta_override(tmp_path, capsys):
+    config = write_config(tmp_path)
+    bank_dir = tmp_path / "bank"
+    main(["simulate", "--config", str(config), "--out", str(bank_dir)])
+    pixels = make_pixel_file(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "weights"
+    assert main(["weight", "--config", str(config), "--bank", str(bank_dir),
+                 "--pixels", str(pixels), "--out", str(out), "--delta", "0"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "delta" in err[0]
+    assert not out.exists()
 
 
 def test_cli_weight_and_project_chain(tmp_path):

@@ -9,7 +9,6 @@ from maplink.pipeline import (
     PixelPosterior,
     PooledUnit,
     SimulationBank,
-    WeightConfig,
     estimated_population,
     pool_and_filter,
     project,
@@ -18,8 +17,8 @@ from maplink.pipeline import (
     weight_pixel,
     weighted_quantile,
 )
+from maplink.io import RunConfig
 from maplink.proposal import population_prior_density
-from maplink.reweight import ErndConfig
 
 
 def make_pixel(pid, country="KE", population=1000.0, samples=None, rng=None):
@@ -151,9 +150,7 @@ def test_weight_pixel_matching_marginal_near_uniform():
         population=2000.0,
         samples=rng.uniform(size=2000),
     )
-    config = WeightConfig(
-        ernd=ErndConfig(kind="distance", delta=0.05), population_log_sd=0.5, ess_floor=10
-    )
+    config = RunConfig(delta=0.05, population_log_sd=0.5, ess_floor=10)
     w = weight_pixel(unit, bank, config)
     assert w.ess > 0.8 * j
 
@@ -171,11 +168,7 @@ def test_weight_pixel_toy_cross_check():
         population=2000.0,
         samples=rng.beta(1.0, 2.0, size=m),
     )
-    config = WeightConfig(
-        ernd=ErndConfig(kind="distance", delta=None),  # automatic window
-        population_log_sd=40.0,
-        ess_floor=10,
-    )
+    config = RunConfig(delta=None, population_log_sd=40.0, ess_floor=10)  # automatic window
     w = weight_pixel(unit, bank, config)
     qs = weighted_quantile(bank.equilibrium_prevalence[w.indices], w.values, (0.025, 0.5, 0.975))
     beta12 = 1.0 - np.sqrt(1.0 - np.array([0.025, 0.5, 0.975]))  # Beta(1,2) quantiles
@@ -191,9 +184,7 @@ def test_weight_pixel_low_ess_flag():
         population=2000.0,
         samples=np.full(100, 0.5),
     )
-    config = WeightConfig(
-        ernd=ErndConfig(kind="distance", delta=0.01), population_log_sd=0.5, ess_floor=50.0
-    )
+    config = RunConfig(delta=0.01, population_log_sd=0.5, ess_floor=50.0)
     w = weight_pixel(unit, bank, config)
     assert w.low_ess and w.ess < 50.0
     assert not weight_pixel(unit, bank, dataclasses.replace(config, ess_floor=w.ess)).low_ess
@@ -212,7 +203,7 @@ def test_weight_all_order_and_worker_equivalence():
         )
         for i in range(12)
     ]
-    config = WeightConfig(ernd=ErndConfig(kind="distance", delta=0.05), ess_floor=1.0)
+    config = RunConfig(delta=0.05, ess_floor=1.0)
     serial = weight_all(units, bank, config, workers=1)
     parallel = weight_all(units, bank, config, workers=3)
     assert [w.unit_id for w in serial] == [u.unit_id for u in units]
@@ -236,7 +227,7 @@ def test_weight_all_permutation_equivariance():
         )
         for i in range(6)
     ]
-    config = WeightConfig(ernd=ErndConfig(kind="distance", delta=0.05), ess_floor=1.0)
+    config = RunConfig(delta=0.05, ess_floor=1.0)
     forward = weight_all(units, bank, config)
     backward = weight_all(units[::-1], bank, config)
     for a, b in zip(forward, backward[::-1]):
@@ -358,9 +349,7 @@ def test_high_prevalence_pixel_keeps_usable_ess():
         population=3000.0,
         samples=rng.beta(8.0, 1.5, size=1000),
     )
-    config = WeightConfig(
-        ernd=ErndConfig(kind="distance", delta=0.01), population_log_sd=0.5, ess_floor=10
-    )
+    config = RunConfig(delta=0.01, population_log_sd=0.5, ess_floor=10)
     w = weight_pixel(unit, bank, config)
     assert w.ess > 200.0
 
@@ -407,4 +396,4 @@ def test_weight_pixel_names_unit_with_invalid_population():
     unit = PooledUnit(unit_id="a+b", country="KE", member_pixel_ids=("a", "b"),
                       population=0.5, samples=np.array([0.2, 0.3]))
     with pytest.raises(ValueError, match="unit a\\+b: reported population"):
-        weight_pixel(unit, make_bank(j=100), WeightConfig())
+        weight_pixel(unit, make_bank(j=100), RunConfig())

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from maplink.reweight import (
     DELTA_FALLBACK,
     DegenerateWeightsError,
-    ErndConfig,
     StepCdf,
     WeightVector,
     apply_ernd,
@@ -194,6 +193,12 @@ def test_distance_requires_positive_delta():
         distance_ernd(np.array([0.5]), np.array([0.5]), np.ones(1), delta=0.0)
 
 
+def test_distance_window_lighter_than_prefix_sum_rounding():
+    # cum[2] - cum[1] = (1 + 1e-20) - 1 rounds to 0; the window of 0.5 holds 1e-20
+    w = distance_ernd(np.array([0.1, 0.5]), np.array([0.1, 0.5]), np.array([1.0, 1e-20]), 0.01)
+    assert np.allclose(w.weights, [0.5, 0.5], rtol=1e-12)
+
+
 def test_distance_all_zero_weights_degenerate():
     with pytest.raises(DegenerateWeightsError):
         distance_ernd(np.array([0.9, 0.95]), np.array([0.1, 0.2]), np.ones(2), delta=0.01)
@@ -237,6 +242,9 @@ def test_histogram_hand_two_bins():
         np.array([0.0, 0.5, 1.0]),
     )
     assert np.allclose(w.weights, [0.75, 0.25])
+    with pytest.raises(ValueError, match="bin_edges"):
+        histogram_ernd(np.array([0.25]), np.array([0.25]), np.ones(1),
+                       np.array([0.0, 0.5, 0.4, 1.0]))
 
 
 def test_histogram_orphan_bin_dropped_and_recorded():
@@ -383,24 +391,15 @@ def test_weight_vector_validates():
     assert wv.ess == pytest.approx(ess([0.25, 0.75]))
 
 
-def test_ernd_config_validation():
-    with pytest.raises(ValueError):
-        ErndConfig(kind="kernel")
-    with pytest.raises(ValueError):
-        ErndConfig(kind="distance", delta=-1.0)
-    with pytest.raises(ValueError):
-        ErndConfig(kind="histogram", bin_edges=np.array([0.0, 0.5, 0.4, 1.0]))
-    cfg = ErndConfig(kind="histogram", bin_edges=ErndConfig.equal_bins(4))
-    assert cfg.bin_edges.size == 5
-
-
 def test_apply_ernd_dispatch_auto_delta():
     rng = np.random.default_rng(3)
     sims = rng.uniform(size=50)
     pixel = rng.uniform(size=50)
-    w_auto = apply_ernd(pixel, sims, np.ones(50), ErndConfig(kind="distance", delta=None))
+    w_auto = apply_ernd(pixel, sims, np.ones(50), "distance")
     w_fixed = distance_ernd(pixel, sims, np.ones(50), select_delta(sims))
     assert np.allclose(w_auto.weights, w_fixed.weights)
+    with pytest.raises(ValueError, match="kernel"):
+        apply_ernd(pixel, sims, np.ones(50), "kernel")
 
 
 @given(
@@ -412,15 +411,36 @@ def test_apply_ernd_dispatch_auto_delta():
 def test_all_ernds_emit_probability_vectors(sims, pixel, kind):
     sims = np.asarray(sims)
     pixel = np.asarray(pixel)
-    config = ErndConfig(
-        kind=kind,
-        delta=None,
-        bin_edges=ErndConfig.equal_bins(10) if kind == "histogram" else None,
-    )
     try:
-        w = apply_ernd(pixel, sims, np.ones(sims.size), config)
+        w = apply_ernd(pixel, sims, np.ones(sims.size), kind, histogram_bins=10)
     except DegenerateWeightsError:
         return  # pixel shares no mass with the bank; legal outcome
     assert np.all(w.weights >= 0.0)
     assert w.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert 1.0 - 1e-9 <= w.ess <= sims.size + 1e-9
+
+
+# positive w1 entries stay at or above 1e-300 and c within [1e-3, 1e3], so
+# c * w1 is a normal float and a faithful scaled copy of w1
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=3, max_size=30),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+    st.lists(st.floats(min_value=1e-300, max_value=1e6), min_size=30, max_size=30),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.sampled_from(["distance", "histogram", "discrepancy"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_all_ernds_invariant_to_w1_scale(sims, pixel, w1, c, kind):
+    sims = np.asarray(sims)
+    pixel = np.asarray(pixel)
+    w1 = np.asarray(w1[: sims.size])
+    outcomes = []
+    for scaled in (w1, c * w1):
+        try:
+            outcomes.append(apply_ernd(pixel, sims, scaled, kind, histogram_bins=10).weights)
+        except DegenerateWeightsError:
+            outcomes.append(None)
+    if outcomes[0] is None or outcomes[1] is None:
+        assert outcomes[0] is None and outcomes[1] is None
+    else:
+        assert np.allclose(outcomes[0], outcomes[1], rtol=1e-9)
