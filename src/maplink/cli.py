@@ -182,7 +182,6 @@ def cmd_weight(args) -> int:
     bank, _ = mio.load_simulation_bank(Path(args.bank))
     pixels = mio.load_pixel_posteriors(Path(args.pixels))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     units, excluded = pool_and_filter(
         pixels,
@@ -199,6 +198,7 @@ def cmd_weight(args) -> int:
         f"unit {w.unit_id}: low effective sample size {w.ess:.1f}" for w in weights if w.low_ess
     ]
 
+    out.mkdir(parents=True, exist_ok=True)
     mio.save_weights(out, units, weights)
     mio.write_excluded_pixels(out / "excluded_pixels.csv", excluded)
     mio.write_manifest(

@@ -177,8 +177,10 @@ class RunConfig:
             raise ValueError("need at least one simulation and one year")
         if self.delta is not None and not 0.0 < self.delta < float("inf"):
             raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
-        if self.histogram_bins < 1:
-            raise ValueError(f"histogram_bins must be at least 1, got {self.histogram_bins!r}")
+        for name, least in (("histogram_bins", 1), ("simulate_shard_size", 1),
+                            ("proposal_reference_stride", 1), ("proposal_iterations", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
         if not 0.0 < self.population_log_sd < float("inf"):
             raise ValueError(
                 f"population_log_sd must be positive and finite, got {self.population_log_sd!r}"

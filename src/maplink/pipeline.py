@@ -198,10 +198,10 @@ def weight_pixel(unit: PooledUnit, bank: SimulationBank, config: RunConfig) -> P
     """Stage-1 population reweighting composed with the configured estimator."""
     try:
         w1 = stage1_population_weights(bank, unit.population, config.population_log_sd)
-    except ValueError as err:
-        raise ValueError(f"unit {unit.unit_id}: {err}") from err
-    w2 = apply_ernd(unit.samples, bank.equilibrium_prevalence, w1, config.ernd_kind,
-                    config.delta, config.histogram_bins, config.unmatched)
+        w2 = apply_ernd(unit.samples, bank.equilibrium_prevalence, w1, config.ernd_kind,
+                        config.delta, config.histogram_bins, config.unmatched)
+    except ValueError as err:  # DegenerateWeightsError keeps its class
+        raise type(err)(f"unit {unit.unit_id}: {err}") from err
 
     dense = w2.weights
     keep = dense >= dense.max() * SPARSE_THRESHOLD

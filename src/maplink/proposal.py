@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -106,40 +107,53 @@ class TabulatedProposal:
 # ---------------------------------------------------------------------------
 
 _REFERENCE_CHUNK = 256  # reference pixels per block, bounding the (refs, support) temporaries
+# Only the proposal changes between adaptation iterations, so the chunks'
+# kernels are built once and kept, up to about the bytes of the temporaries
+# of one chunk; later chunks (at the full range, only at reference strides
+# below 25) are rebuilt in every iteration.
+_KERNEL_CACHE_BYTES = 64 * 2**20
 
 
-def _pixel_ess_profile(
-    support: np.ndarray,
-    log_support: np.ndarray,
-    refs: np.ndarray,
-    log_refs: np.ndarray,
-    sigma: float,
-    q: np.ndarray,
-) -> np.ndarray:
+def _reference_kernel(
+    inv_support: np.ndarray, log_support: np.ndarray, log_refs: np.ndarray, sigma: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(p, p * p, p.sum(0))`` for one chunk of reference pixels.
+
+    Row i of ``p`` is reference pixel i's log-normal population prior,
+    tabulated on the support and normalised.
+    """
+    z = log_support[None, :] - log_refs[:, None]
+    z /= sigma
+    p = z * -0.5
+    p *= z
+    del z  # one (refs, support) temporary at a time besides p
+    np.exp(p, out=p)
+    p *= inv_support
+    p /= p.sum(axis=1, keepdims=True)
+    return p, p * p, p.sum(axis=0)
+
+
+def _pixel_ess_profile(kernels: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                       q: np.ndarray) -> np.ndarray:
     """Prior-weighted profile over n of the reference pixels' ESS under q.
 
     A pixel with reported population N receives, per simulation, the
     large-bank effective sample size 1 / sum_m pi_N(m)^2 / q(m) where pi_N is
-    its normalised log-normal population prior tabulated on the support.  The
-    profile attributes those pixel ESS values to each support point n by
-    averaging them with weights pi_N(n), i.e. by how much a size-n simulation
-    matters to each pixel.
+    its normalised log-normal population prior tabulated on the support (the
+    rows of each kernel's ``p``).  The profile attributes those pixel ESS
+    values to each support point n by averaging them with weights pi_N(n),
+    i.e. by how much a size-n simulation matters to each pixel.
     """
     inv_q = 1.0 / q
-    ess_refs = np.empty(refs.size)
-    numer = np.zeros(support.size)
-    denom = np.zeros(support.size)
-    inv_support = 1.0 / support
-    for start in range(0, refs.size, _REFERENCE_CHUNK):
-        stop = min(start + _REFERENCE_CHUNK, refs.size)
-        z = (log_support[None, :] - log_refs[start:stop, None]) / sigma
-        p = np.exp(-0.5 * z * z) * inv_support[None, :]
-        p /= p.sum(axis=1, keepdims=True)
-        ess_chunk = 1.0 / ((p * p) @ inv_q)
-        ess_refs[start:stop] = ess_chunk
+    ess_max = 0.0
+    numer = np.zeros(q.size)
+    denom = np.zeros(q.size)
+    for p, p_squared, column_sums in kernels:
+        ess_chunk = 1.0 / (p_squared @ inv_q)
+        ess_max = max(ess_max, ess_chunk.max())
         numer += ess_chunk @ p
-        denom += p.sum(axis=0)
-    profile = np.full(support.size, ess_refs.max())
+        denom += column_sums
+    profile = np.full(q.size, ess_max)
     reached = denom > 0.0
     profile[reached] = numer[reached] / denom[reached]
     return profile
@@ -185,11 +199,22 @@ def adapt_population_proposal(
         refs = support[::reference_stride]
     log_refs = np.log(refs.astype(float))
 
+    inv_support = 1.0 / support
+    chunks = [log_refs[i:i + _REFERENCE_CHUNK] for i in range(0, refs.size, _REFERENCE_CHUNK)]
+    kernel_bytes = np.cumsum([16 * chunk.size * support.size for chunk in chunks])  # p, p * p
+    kept = int(np.searchsorted(kernel_bytes, _KERNEL_CACHE_BYTES, side="right")) if iterations else 0
+    cached = [_reference_kernel(inv_support, log_support, chunk, log_sd) for chunk in chunks[:kept]]
+
+    def kernels():
+        yield from cached
+        for chunk in chunks[kept:]:
+            yield _reference_kernel(inv_support, log_support, chunk, log_sd)
+
     q = np.full(support.size, 1.0 / support.size)
     for _ in range(iterations):
         if np.any(q <= 0.0):
             raise ValueError("proposal developed a support hole (zero mass inside the range)")
-        profile = _pixel_ess_profile(support, log_support, refs, log_refs, log_sd, q)
+        profile = _pixel_ess_profile(kernels(), q)
         q = q / profile
         q /= q.sum()
 
@@ -198,22 +223,6 @@ def adapt_population_proposal(
     full_support = np.concatenate((support, tail))
     full_mass = np.concatenate((q, tail_mass))
     return TabulatedProposal(support=full_support, mass=full_mass / full_mass.sum())
-
-
-def pixel_ess_under_proposal(
-    proposal: TabulatedProposal, reported_population: float, log_sd: float
-) -> float:
-    """Large-bank per-simulation ESS a pixel would get from this proposal.
-
-    Prior mass beyond the proposal support does not contribute; the linear
-    tail exists precisely to keep that truncation negligible.
-    """
-    prior = population_prior_density(proposal.support, reported_population, log_sd)
-    prior = prior / prior.sum()
-    covered = proposal.mass > 0.0
-    ratio = np.zeros_like(prior)
-    ratio[covered] = prior[covered] ** 2 / proposal.mass[covered]
-    return float(1.0 / ratio.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -115,22 +115,35 @@ class ModelParams:
         return equilibrium_l3(ks, self)
 
 
+def _worm_pool(row: int, doc: str) -> property:
+    def get(self) -> np.ndarray:
+        return self.worms[row]
+
+    def set(self, value) -> None:
+        self.worms[row] = value
+
+    return property(get, set, doc=doc)
+
+
 @dataclass
 class PopulationState:
     """Complete per-host state of one simulated community."""
 
     age: np.ndarray                 # months
     bite_risk: np.ndarray
-    male_fertile: np.ndarray        # int64 worm counts
-    male_sterile: np.ndarray
-    female_fertile: np.ndarray
-    female_sterile: np.ndarray
+    worms: np.ndarray               # (4, N) int64 worm counts, one row per pool
     mf: np.ndarray                  # per 20 uL
     suppressed_until: np.ndarray    # months; -inf when never treated
     treated_last: np.ndarray        # bool, last-round treatment decision
     mda_rounds: int = 0
     larvae_mean: float = 0.0        # quasi-equilibrium L3 per mosquito
     time: float = 0.0               # months
+
+    # the rows of ``worms``, in the order the worm deaths are placed
+    male_fertile = _worm_pool(0, "fertile male worms per host")
+    male_sterile = _worm_pool(1, "sterilised male worms per host")
+    female_fertile = _worm_pool(2, "fertile female worms per host")
+    female_sterile = _worm_pool(3, "sterilised female worms per host")
 
     @property
     def size(self) -> int:
@@ -175,24 +188,20 @@ def initial_state(
     age = _stationary_ages(rng, n, params.human_death_rate)
     bite_risk = rng.gamma(theta.aggregation_k, 1.0 / theta.aggregation_k, size=n)
     exposure = bite_risk * exposure_by_age(age, params)
-    male = np.zeros(n, dtype=np.int64)
-    female = np.zeros(n, dtype=np.int64)
+    worms = np.zeros((4, n), dtype=np.int64)
     mf = np.zeros(n)
     if w0 > 0.0 and exposure.mean() > 0.0:
         lam = w0 * exposure / exposure.mean()
-        male = rng.poisson(lam)
-        female = rng.poisson(lam)
-        producing = (male > 0) & (female > 0)
+        worms[0] = rng.poisson(lam)
+        worms[2] = rng.poisson(lam)
+        producing = (worms[0] > 0) & (worms[2] > 0)
         mf = np.where(
-            producing, params.mf_production_rate * female / params.mf_death_rate, 0.0
+            producing, params.mf_production_rate * worms[2] / params.mf_death_rate, 0.0
         )
     return PopulationState(
         age=age,
         bite_risk=bite_risk,
-        male_fertile=male,
-        male_sterile=np.zeros(n, dtype=np.int64),
-        female_fertile=female,
-        female_sterile=np.zeros(n, dtype=np.int64),
+        worms=worms,
         mf=mf,
         suppressed_until=np.full(n, -np.inf),
         treated_last=np.zeros(n, dtype=bool),
@@ -205,23 +214,27 @@ def exposure_by_age(age_months, params: ModelParams) -> np.ndarray:
 
 
 def acquisition_rate(
-    bite_risk, age_months, theta: ParameterVector, params: ModelParams
+    bite_risk,
+    age_months,
+    theta: ParameterVector,
+    params: ModelParams,
+    availability: float = 1.0,
 ) -> np.ndarray:
-    """Base per-sex adult worm acquisition rate, per month.
+    """Per-sex adult worm acquisition rate, per month.
 
-    0.5 * lambda * b_i * (V/H) * psi1 * psi2 * s2 * h(a); the larval
-    availability factor is applied separately inside :func:`step`.
+    0.5 * lambda * b_i * (V/H) * psi1 * psi2 * s2 * h(a), times the larval
+    ``availability`` that :func:`step` passes; the scalar factors are folded
+    into one before they meet the host arrays.
     """
-    return (
-        0.5
-        * params.bites_per_mosquito
-        * np.asarray(bite_risk, dtype=float)
-        * theta.vector_host_ratio
-        * params.psi1
-        * params.psi2
-        * params.s2
-        * exposure_by_age(age_months, params)
+    ramp = params.exposure_ramp_months
+    factor = (
+        0.5 * params.bites_per_mosquito * theta.vector_host_ratio
+        * params.psi1 * params.psi2 * params.s2 * availability / ramp
     )
+    rate = np.minimum(np.asarray(age_months, dtype=float), ramp)  # ramp * h(a)
+    rate *= bite_risk
+    rate *= factor
+    return rate
 
 
 def larvae_uptake(mf_per_20ul, params: ModelParams) -> np.ndarray:
@@ -232,19 +245,28 @@ def larvae_uptake(mf_per_20ul, params: ModelParams) -> np.ndarray:
     density).  Both are zero at zero and level off at their saturation value.
     """
     m = np.asarray(mf_per_20ul, dtype=float)
-    if np.any(m < 0.0):
+    if (m < 0.0).any():
         raise ValueError("mf density must be non-negative")
+    scale, curve = _uptake_curve(m, params)
+    return scale * curve
+
+
+def _uptake_curve(m, params: ModelParams):
+    # (scale, curve) with larvae_uptake = scale * curve, without the sign check
+    # (step keeps mf non-negative); 1 - exp(-x) = -expm1(-x)
     if params.species == "anopheles":
         ks = params.uptake_kappa_s2
-        return ks * (1.0 - np.exp(-params.uptake_r2 * m / ks)) ** 2
+        curve = np.expm1(m * (-params.uptake_r2 / ks))
+        curve *= curve
+        return ks, curve
     ks = params.uptake_kappa_s1
-    return ks * (1.0 - np.exp(-params.uptake_r1 * m / ks))
+    return -ks, np.expm1(m * (-params.uptake_r1 / ks))
 
 
 def population_uptake(state: PopulationState, params: ModelParams) -> float:
     """Bite-risk-weighted mean larval uptake over the community."""
-    uptake = larvae_uptake(state.mf, params)
-    return float(np.dot(uptake, state.bite_risk) / state.bite_risk.sum())
+    scale, curve = _uptake_curve(state.mf, params)
+    return float(scale * np.dot(curve, state.bite_risk) / state.bite_risk.sum())
 
 
 def equilibrium_l3(mean_uptake: float, params: ModelParams) -> float:
@@ -275,6 +297,8 @@ def step(
     death and replacement; importation at ``theta.importation_rate``.
     """
     n = state.size
+    worms = state.worms
+    flat = worms.reshape(-1)  # a view: events placed on it land in the pools
 
     # mosquito side at quasi-equilibrium
     state.larvae_mean = equilibrium_l3(population_uptake(state, params), params)
@@ -286,63 +310,66 @@ def step(
     # on a host with probability proportional to its rate; a uniform in
     # (0, total] maps to a host through the cumulative rates, never to one
     # with zero rate.
-    rate = acquisition_rate(state.bite_risk, state.age, theta, params) * availability
-    cum_rate = np.cumsum(rate)
-    for pool in (state.male_fertile, state.female_fertile):
-        k = rng.poisson(cum_rate[-1])
+    cum_rate = acquisition_rate(state.bite_risk, state.age, theta, params, availability)
+    cum_rate.cumsum(out=cum_rate)
+    total_rate = cum_rate[-1]
+    for row in (0, 2):  # fertile males, then fertile females
+        k = rng.poisson(total_rate)
         if k:
-            u = np.sort(1.0 - rng.random(k)) * cum_rate[-1]
-            pool += np.bincount(np.searchsorted(cum_rate, u), minlength=n)
+            u = 1.0 - rng.random(k)
+            u.sort()
+            u *= total_rate
+            np.add.at(worms[row], cum_rate.searchsorted(u), 1)
     # Deaths: every worm dies with the same probability, so given their total
     # D ~ Binomial(W, p) the dead are a uniform D-subset of the W worms, found
     # in the four pools through the cumulative burden.
-    pools = (state.male_fertile, state.male_sterile, state.female_fertile, state.female_sterile)
-    cum_burden = np.cumsum(np.concatenate(pools))
+    # (no dead worm lies in an empty last pool, and the sterile females are
+    # empty until the first treatment)
+    cum_burden = (flat if worms[3].any() else flat[:3 * n]).cumsum()
     n_dead_worms = rng.binomial(cum_burden[-1], -np.expm1(-params.worm_death_rate))
     if n_dead_worms:
-        dead = np.sort(rng.choice(cum_burden[-1], n_dead_worms, replace=False, shuffle=False))
-        losses = np.bincount(np.searchsorted(cum_burden, dead, side="right"), minlength=4 * n)
-        for pool, loss in zip(pools, losses.reshape(4, n)):
-            pool -= loss
+        dead = rng.choice(cum_burden[-1], n_dead_worms, replace=False, shuffle=False)
+        dead.sort()
+        np.subtract.at(flat, cum_burden.searchsorted(dead, side="right"), 1)
 
     # mf: dM/dt = production - gamma M, solved exactly over the step with the
     # updated worm burden held fixed
-    producing = (state.female_fertile > 0) & (state.male_fertile > 0)
-    suppressed = state.time < state.suppressed_until
-    production = np.where(
-        producing & ~suppressed, params.mf_production_rate * state.female_fertile, 0.0
-    )
     decay = np.exp(-params.mf_death_rate)
-    state.mf = state.mf * decay + production / params.mf_death_rate * (1.0 - decay)
+    gain = params.mf_production_rate / params.mf_death_rate * (1.0 - decay)
+    # (fertile females produce while a fertile male is present and no
+    # treatment suppresses them)
+    production = worms[2] * gain
+    production *= worms[0] > 0
+    production *= state.suppressed_until <= state.time
+    state.mf *= decay
+    state.mf += production
 
     # demography: constant hazard plus the hard age cut-off, replacement keeps
     # the population size constant; hazard deaths are drawn as a total and a
     # uniform subset of hosts, like the worm deaths
     state.age += 1.0
     n_hazard = rng.binomial(n, -np.expm1(-params.human_death_rate))
-    died = np.flatnonzero(state.age >= MAX_AGE_MONTHS)
+    died = (state.age >= MAX_AGE_MONTHS).nonzero()[0]
     if n_hazard:
-        died = np.union1d(died, rng.choice(n, n_hazard, replace=False, shuffle=False))
+        hazard = np.sort(rng.choice(n, n_hazard, replace=False, shuffle=False))
+        died = np.union1d(died, hazard) if died.size else hazard
     if died.size:
         state.age[died] = 0.0
         state.bite_risk[died] = rng.gamma(
             theta.aggregation_k, 1.0 / theta.aggregation_k, size=died.size
         )
-        state.male_fertile[died] = 0
-        state.male_sterile[died] = 0
-        state.female_fertile[died] = 0
-        state.female_sterile[died] = 0
+        worms[:, died] = 0
         state.mf[died] = 0.0
         state.suppressed_until[died] = -np.inf
         state.treated_last[died] = False
 
-    # importation: each event hands one adult worm of random sex to a random host
+    # importation: each event hands one adult worm of random sex to a random
+    # host, as a fertile male (row 0) or a fertile female (row 2)
     n_events = rng.poisson(theta.importation_rate * n)
     if n_events:
         hosts = rng.integers(0, n, size=n_events)
         sexes = rng.integers(0, 2, size=n_events)
-        np.add.at(state.male_fertile, hosts[sexes == 0], 1)
-        np.add.at(state.female_fertile, hosts[sexes == 1], 1)
+        np.add.at(flat, hosts + 2 * n * sexes, 1)
 
     state.time += 1.0
     return state
@@ -378,14 +405,11 @@ def apply_mda(
 
     if np.any(treated):
         state.mf[treated] *= 1.0 - chi
-        for pool_from, pool_to in (
-            ("male_fertile", "male_sterile"),
-            ("female_fertile", "female_sterile"),
-        ):
-            fertile = getattr(state, pool_from)
+        worms = state.worms
+        for fertile, sterile in ((worms[0], worms[1]), (worms[2], worms[3])):  # male, female
             moved = rng.binomial(fertile[treated], kappa)
             fertile[treated] -= moved
-            getattr(state, pool_to)[treated] += moved
+            sterile[treated] += moved
         state.suppressed_until[treated] = state.time + params.mf_suppression_months
 
     state.treated_last = treated

@@ -376,6 +376,26 @@ def test_cli_weight_rejects_bad_delta_override(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_weight_names_unit_whose_samples_miss_the_bank(tmp_path, capsys):
+    config = write_config(tmp_path)
+    bank_dir = tmp_path / "bank"
+    main(["simulate", "--config", str(config), "--out", str(bank_dir)])
+    bank, _ = mio.load_simulation_bank(bank_dir)
+    grid = np.linspace(0.0, 1.0, 201)
+    gap = grid[np.argmax(np.abs(grid[:, None] - bank.equilibrium_prevalence).min(axis=1))]
+    assert np.abs(bank.equilibrium_prevalence - gap).min() > 0.01  # outside every window
+    pixels = tmp_path / "pixels.csv"
+    mio.save_pixel_posteriors(pixels, [PixelPosterior(pixel_id="far", country="KE",
+                                                      population=400.0, samples=np.full(30, gap))])
+    capsys.readouterr()
+    out = tmp_path / "weights"
+    assert main(["weight", "--config", str(config), "--bank", str(bank_dir),
+                 "--pixels", str(pixels), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unit far: ")
+    assert not out.exists()
+
+
 def test_cli_weight_and_project_chain(tmp_path):
     config = write_config(tmp_path)
     bank_dir = tmp_path / "bank"
@@ -437,6 +457,10 @@ def test_cli_project_rejects_unknown_scenario(tmp_path, capsys):
     ({"scenarios": [{"kind": "rounds", "rounds": [[0, "0.5"]]}]}, "rounds"),
     ({"scenarios": [{"kind": "rounds", "rounds": [[0.5, 0.5]]}]}, "rounds"),
     ({"scenarios": [{"kind": "rounds", "rounds": [0, 0.5]}]}, "rounds"),
+    ({"simulate_shard_size": -2}, "simulate_shard_size"),
+    ({"proposal_reference_stride": -1}, "proposal_reference_stride"),
+    ({"proposal_reference_stride": 0}, "proposal_reference_stride"),
+    ({"proposal_iterations": -1}, "proposal_iterations"),
 ])
 def test_cli_bad_config_is_one_line_error(tmp_path, capsys, override, key):
     config = write_config(tmp_path, **override)

@@ -19,6 +19,7 @@ from maplink.pipeline import (
 )
 from maplink.io import RunConfig
 from maplink.proposal import population_prior_density
+from maplink.reweight import DegenerateWeightsError
 
 
 def make_pixel(pid, country="KE", population=1000.0, samples=None, rng=None):
@@ -397,3 +398,11 @@ def test_weight_pixel_names_unit_with_invalid_population():
                       population=0.5, samples=np.array([0.2, 0.3]))
     with pytest.raises(ValueError, match="unit a\\+b: reported population"):
         weight_pixel(unit, make_bank(j=100), RunConfig())
+
+
+def test_weight_pixel_names_unit_whose_samples_miss_the_bank():
+    bank = dataclasses.replace(make_bank(j=100), equilibrium_prevalence=np.linspace(0.5, 0.6, 100))
+    unit = PooledUnit(unit_id="far", country="KE", member_pixel_ids=("far",),
+                      population=500.0, samples=np.full(10, 0.05))
+    with pytest.raises(DegenerateWeightsError, match="^unit far: all weights are zero"):
+        weight_pixel(unit, bank, RunConfig())

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from maplink import proposal as proposal_module
 from maplink.proposal import (
     ParameterVector,
     TabulatedProposal,
@@ -10,7 +11,6 @@ from maplink.proposal import (
     adapt_population_proposal,
     default_vh_k_grid,
     load_vh_k_grid,
-    pixel_ess_under_proposal,
     population_prior_density,
     sample_bank,
 )
@@ -67,6 +67,22 @@ def test_tabulated_proposal_validation():
 
 # --- adaptive population proposal ------------------------------------------------
 
+def pixel_ess_under_proposal(
+    proposal: TabulatedProposal, reported_population: float, log_sd: float
+) -> float:
+    """Large-bank per-simulation ESS a pixel would get from this proposal.
+
+    Prior mass beyond the proposal support does not contribute; the linear
+    tail exists precisely to keep that truncation negligible.
+    """
+    prior = population_prior_density(proposal.support, reported_population, log_sd)
+    prior = prior / prior.sum()
+    covered = proposal.mass > 0.0
+    ratio = np.zeros_like(prior)
+    ratio[covered] = prior[covered] ** 2 / proposal.mass[covered]
+    return float(1.0 / ratio.sum())
+
+
 def test_adapt_zero_iterations_is_flat():
     prop = adapt_population_proposal(0.5, population_range=(300, 400), iterations=0, tail_to=450)
     core = prop.mass[prop.support <= 400]
@@ -115,6 +131,19 @@ def test_adapt_two_pixel_balance_and_concentration():
     low = prop.mass[(prop.support >= 260) & (prop.support <= 400)].sum()
     flat_share = 141 / prop.support.size
     assert low > 3 * flat_share
+
+
+def test_adapt_same_mass_whether_kernels_are_kept_or_rebuilt(monkeypatch):
+    # 580 references in three chunks: all kept, the first kept, none kept
+    def adapt():
+        return adapt_population_proposal(
+            0.5, population_range=(260, 2000), tail_to=2500, reference_stride=3
+        ).mass
+
+    kept = adapt()
+    for budget in (16 * 256 * 1741, 0):
+        monkeypatch.setattr(proposal_module, "_KERNEL_CACHE_BYTES", budget)
+        assert np.array_equal(adapt(), kept)
 
 
 def test_adapt_reduces_pixel_ess_spread():

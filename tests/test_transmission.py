@@ -9,6 +9,7 @@ from maplink.proposal import ParameterVector
 from maplink.transmission import (
     MAX_AGE_MONTHS,
     ModelParams,
+    PopulationState,
     Scenario,
     acquisition_rate,
     apply_mda,
@@ -291,6 +292,157 @@ def test_step_draws_worm_events_as_totals_not_per_host():
     counts = [(name, args) for name, args in recorder.calls if name in ("poisson", "binomial")]
     assert {name for name, _ in counts} == {"poisson", "binomial"}
     assert all(np.ndim(a) == 0 for _, args in counts for a in args)
+
+
+# --- the kernel against its reference -------------------------------------------------
+
+def _reference_population_uptake(state, params):  # anopheles, the default species
+    m = state.mf
+    ks = params.uptake_kappa_s2
+    uptake = ks * (1.0 - np.exp(-params.uptake_r2 * m / ks)) ** 2
+    return float(np.dot(uptake, state.bite_risk) / state.bite_risk.sum())
+
+
+def _reference_acquisition_rate(bite_risk, age_months, theta, params):
+    return (
+        0.5
+        * params.bites_per_mosquito
+        * np.asarray(bite_risk, dtype=float)
+        * theta.vector_host_ratio
+        * params.psi1
+        * params.psi2
+        * params.s2
+        * np.minimum(np.asarray(age_months, dtype=float) / params.exposure_ramp_months, 1.0)
+    )
+
+
+def _reference_step(
+    state: PopulationState,
+    theta: ParameterVector,
+    params: ModelParams,
+    rng: np.random.Generator,
+) -> PopulationState:
+    """The monthly step as it stood before its arithmetic was fused: the same
+    generator calls, one array pass per factor, N-long bincounts."""
+    n = state.size
+
+    # mosquito side at quasi-equilibrium
+    state.larvae_mean = equilibrium_l3(_reference_population_uptake(state, params), params)
+    availability = state.larvae_mean / params.saturation_l3()
+
+    # adult worm dynamics, drawn as monthly totals and then placed (exact
+    # event thinning).  Acquisitions: the superposition of the per-host
+    # Poisson processes is Poisson with the summed rate, and each event lands
+    # on a host with probability proportional to its rate; a uniform in
+    # (0, total] maps to a host through the cumulative rates, never to one
+    # with zero rate.
+    rate = _reference_acquisition_rate(state.bite_risk, state.age, theta, params) * availability
+    cum_rate = np.cumsum(rate)
+    for pool in (state.male_fertile, state.female_fertile):
+        k = rng.poisson(cum_rate[-1])
+        if k:
+            u = np.sort(1.0 - rng.random(k)) * cum_rate[-1]
+            pool += np.bincount(np.searchsorted(cum_rate, u), minlength=n)
+    # Deaths: every worm dies with the same probability, so given their total
+    # D ~ Binomial(W, p) the dead are a uniform D-subset of the W worms, found
+    # in the four pools through the cumulative burden.
+    pools = (state.male_fertile, state.male_sterile, state.female_fertile, state.female_sterile)
+    cum_burden = np.cumsum(np.concatenate(pools))
+    n_dead_worms = rng.binomial(cum_burden[-1], -np.expm1(-params.worm_death_rate))
+    if n_dead_worms:
+        dead = np.sort(rng.choice(cum_burden[-1], n_dead_worms, replace=False, shuffle=False))
+        losses = np.bincount(np.searchsorted(cum_burden, dead, side="right"), minlength=4 * n)
+        for pool, loss in zip(pools, losses.reshape(4, n)):
+            pool -= loss
+
+    # mf: dM/dt = production - gamma M, solved exactly over the step with the
+    # updated worm burden held fixed
+    producing = (state.female_fertile > 0) & (state.male_fertile > 0)
+    suppressed = state.time < state.suppressed_until
+    production = np.where(
+        producing & ~suppressed, params.mf_production_rate * state.female_fertile, 0.0
+    )
+    decay = np.exp(-params.mf_death_rate)
+    state.mf = state.mf * decay + production / params.mf_death_rate * (1.0 - decay)
+
+    # demography: constant hazard plus the hard age cut-off, replacement keeps
+    # the population size constant; hazard deaths are drawn as a total and a
+    # uniform subset of hosts, like the worm deaths
+    state.age += 1.0
+    n_hazard = rng.binomial(n, -np.expm1(-params.human_death_rate))
+    died = np.flatnonzero(state.age >= MAX_AGE_MONTHS)
+    if n_hazard:
+        died = np.union1d(died, rng.choice(n, n_hazard, replace=False, shuffle=False))
+    if died.size:
+        state.age[died] = 0.0
+        state.bite_risk[died] = rng.gamma(
+            theta.aggregation_k, 1.0 / theta.aggregation_k, size=died.size
+        )
+        state.male_fertile[died] = 0
+        state.male_sterile[died] = 0
+        state.female_fertile[died] = 0
+        state.female_sterile[died] = 0
+        state.mf[died] = 0.0
+        state.suppressed_until[died] = -np.inf
+        state.treated_last[died] = False
+
+    # importation: each event hands one adult worm of random sex to a random host
+    n_events = rng.poisson(theta.importation_rate * n)
+    if n_events:
+        hosts = rng.integers(0, n, size=n_events)
+        sexes = rng.integers(0, 2, size=n_events)
+        np.add.at(state.male_fertile, hosts[sexes == 0], 1)
+        np.add.at(state.female_fertile, hosts[sexes == 1], 1)
+
+    state.time += 1.0
+    return state
+
+
+@pytest.mark.parametrize("population", [50, 400, 3000])
+def test_step_matches_reference_kernel(population):
+    # Same generator calls in the same order, so the same events on the same
+    # hosts; only the rounding of the fused rate and mf arithmetic may differ.
+    # Treatment starts at month 18, so both the empty and the filled sterile
+    # pools are stepped; importation brings about one worm per 100 hosts a month.
+    theta = make_theta(population=population, vh=40.0, k=0.5, imp=0.01)
+    start = initial_state(theta, PARAMS, np.random.default_rng(population))
+    ends = []
+    for kernel in (step, _reference_step):
+        state, rng = start.copy(), np.random.default_rng(30 + population)
+        for month in range(120):
+            if month >= 18 and month % 12 == 6:
+                apply_mda(state, 0.65, PARAMS, rng)
+            kernel(state, theta, PARAMS, rng)
+        ends.append((state, rng.bit_generator.state))
+    (new, new_rng), (ref, ref_rng) = ends
+    assert new_rng == ref_rng
+    assert new.worms[3].any() and new.worms.sum() > population
+    assert np.array_equal(new.worms, ref.worms)
+    assert np.array_equal(new.age, ref.age)
+    assert np.array_equal(new.treated_last, ref.treated_last)
+    assert np.array_equal(new.suppressed_until, ref.suppressed_until)
+    np.testing.assert_allclose(new.mf, ref.mf, rtol=1e-12, atol=0.0)
+
+
+def test_state_copy_is_deep_and_pool_assignment_reaches_step():
+    theta, state, rng = _fixed_state()
+    clone = state.copy()
+    clone.male_fertile += 5
+    clone.female_sterile[:3] = 9
+    assert not np.shares_memory(clone.worms, state.worms)
+    assert np.array_equal(clone.male_fertile, state.male_fertile + 5)
+    assert not state.female_sterile.any()
+
+    # no acquisitions (mf = 0), no importation: the death draw sees exactly
+    # the pools assigned here, the last one included
+    state.mf[:] = 0.0
+    state.worms[:] = 0
+    state.female_sterile = np.full(state.size, 3)
+    recorder = _RecordingGenerator(rng)
+    step(state, theta, FROZEN, recorder)
+    binomials = [args for name, args in recorder.calls if name == "binomial"]
+    assert binomials[0][0] == 3 * state.size
+    assert state.worms[:3].sum() == 0 and 0 < state.female_sterile.sum() <= 3 * state.size
 
 
 def test_reproducibility_same_seed_same_trajectory():
