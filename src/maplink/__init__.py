@@ -31,6 +31,7 @@ from .proposal import (
 )
 from .reweight import (
     DegenerateWeightsError,
+    SortedPrevalences,
     StepCdf,
     WeightVector,
     apply_ernd,
@@ -40,6 +41,7 @@ from .reweight import (
     histogram_ernd,
     integrated_squared_distance,
     ks_distance,
+    prepare_ernd,
     select_delta,
 )
 from .transmission import (

@@ -142,7 +142,7 @@ class RunConfig:
     j_simulations: int = 1000
     years: int = 5
     ernd_kind: Literal["distance", "histogram", "discrepancy"] = "distance"
-    delta: float | None = 0.01  # None: choose per pixel with reweight.select_delta
+    delta: float | None = 0.01  # None: reweight.select_delta of the bank, once per command
     histogram_bins: int = 100
     unmatched: Literal["drop", "transfer"] = "drop"
     population_log_sd: float = 0.5

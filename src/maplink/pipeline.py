@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .proposal import population_prior_density
-from .reweight import apply_ernd, ess
+from .reweight import SortedPrevalences, apply_ernd, ess, prepare_ernd
 
 if TYPE_CHECKING:  # io imports this module
     from .io import RunConfig
@@ -143,12 +144,19 @@ def pool_and_filter(
 
 @dataclass(frozen=True)
 class SimulationBank:
-    """Read-only columnar view of the J simulations shared by all pixels."""
+    """Read-only columnar view of the J simulations shared by all pixels.
+
+    What every pixel derives from the bank alone, the sorted prevalences and
+    the sorted trajectory columns, is built on first use and kept here.
+    """
 
     populations: np.ndarray
     population_proposal_mass: np.ndarray
     equilibrium_prevalence: np.ndarray
     trajectories: dict[str, np.ndarray] = field(default_factory=dict)
+    _trajectory_orders: dict[str, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         j = self.populations.size
@@ -166,6 +174,19 @@ class SimulationBank:
     @property
     def size(self) -> int:
         return self.populations.size
+
+    @cached_property
+    def sorted_prevalences(self) -> SortedPrevalences:
+        """The equilibrium prevalences, keeping the estimators' bank-only parts."""
+        return SortedPrevalences(self.equilibrium_prevalence)
+
+    def trajectory_order(self, scenario: str) -> np.ndarray:
+        """Stable argsort of each year's trajectory column of ``scenario``, one row per year."""
+        if scenario not in self._trajectory_orders:
+            self._trajectory_orders[scenario] = np.argsort(
+                self.trajectories[scenario].T, axis=1, kind="stable"
+            )
+        return self._trajectory_orders[scenario]
 
 
 @dataclass(frozen=True)
@@ -198,7 +219,7 @@ def weight_pixel(unit: PooledUnit, bank: SimulationBank, config: RunConfig) -> P
     """Stage-1 population reweighting composed with the configured estimator."""
     try:
         w1 = stage1_population_weights(bank, unit.population, config.population_log_sd)
-        w2 = apply_ernd(unit.samples, bank.equilibrium_prevalence, w1, config.ernd_kind,
+        w2 = apply_ernd(unit.samples, bank.sorted_prevalences, w1, config.ernd_kind,
                         config.delta, config.histogram_bins, config.unmatched)
     except ValueError as err:  # DegenerateWeightsError keeps its class
         raise type(err)(f"unit {unit.unit_id}: {err}") from err
@@ -262,7 +283,10 @@ def weight_all(
     """Weight every unit against the bank; order follows the input exactly.
 
     Units are independent, so any worker count produces identical results.
+    The estimator's bank-only parts are built here, once, and reach each
+    worker with the bank.
     """
+    prepare_ernd(bank.sorted_prevalences, config.ernd_kind, config.delta, config.histogram_bins)
     return ordered_map(_weight_one, (units, bank, config), len(units), workers, chunksize=8)
 
 
@@ -294,22 +318,50 @@ class ProjectionSummary:
         return self.elimination_probability.size - 1
 
 
+def _check_weights_index(weights: PixelWeights, bank: SimulationBank) -> None:
+    """Refuse weights that were not made against ``bank``."""
+    if weights.bank_size != bank.size:
+        raise ValueError(
+            f"unit {weights.unit_id}: weights are for a bank of {weights.bank_size} "
+            f"simulations, this bank has {bank.size}"
+        )
+    idx = weights.indices
+    if idx.size == 0 or idx[0] < 0 or idx[-1] >= bank.size or np.any(idx[1:] <= idx[:-1]):
+        raise ValueError(
+            f"unit {weights.unit_id}: weight indices must increase strictly "
+            f"within [0, {bank.size})"
+        )
+
+
 def project(
     weights: PixelWeights,
     bank: SimulationBank,
     scenario: str,
     elimination_threshold: float = 0.01,
 ) -> ProjectionSummary:
-    """Weighted yearly quantiles and elimination probabilities for one unit."""
-    traj = bank.trajectories[scenario][weights.indices]
+    """Weighted yearly quantiles and elimination probabilities for one unit.
+
+    The quantiles are :func:`weighted_quantile`'s, taken from a cumulative
+    sum of the dense weights in the bank's stable order of each year's
+    column. That is exact: the bank's stable order, filtered to the unit's
+    ascending indices, is the stable order of the unit's values, and adding
+    the zero weights of the other simulations changes no partial sum.
+    """
+    _check_weights_index(weights, bank)
+    traj = bank.trajectories[scenario]
+    order = bank.trajectory_order(scenario)
+    dense = np.zeros(bank.size)
+    dense[weights.indices] = weights.values
+    eliminated = traj[weights.indices] < elimination_threshold
     n_years = traj.shape[1]
     quantiles = np.empty((len(QUANTILE_LEVELS), n_years))
     elim = np.empty(n_years)
     for year in range(n_years):
-        quantiles[:, year] = weighted_quantile(traj[:, year], weights.values, QUANTILE_LEVELS)
-        elim[year] = min(
-            1.0, max(0.0, float(np.dot(weights.values, traj[:, year] < elimination_threshold)))
-        )
+        cum = np.cumsum(dense[order[year]])
+        cum /= cum[-1]
+        idx = np.searchsorted(cum, QUANTILE_LEVELS, side="left")
+        quantiles[:, year] = traj[order[year][np.minimum(idx, bank.size - 1)], year]
+        elim[year] = min(1.0, max(0.0, float(np.dot(weights.values, eliminated[:, year]))))
     return ProjectionSummary(
         unit_id=weights.unit_id,
         scenario=scenario,
@@ -323,4 +375,5 @@ def project(
 
 def estimated_population(weights: PixelWeights, bank: SimulationBank) -> float:
     """Weighted mean simulated population; recovers the pixel's true size."""
+    _check_weights_index(weights, bank)
     return float(np.dot(weights.values, bank.populations[weights.indices]))

@@ -16,8 +16,10 @@ are provided:
 * :func:`discrepancy_ernd` picks the weights minimising the integrated
   squared distance between the two empirical cdfs, in closed form.
 
-All functions are pure; it is safe to call them concurrently against a
-shared read-only simulation bank.
+The estimators take the simulated prevalences either as an array or as a
+:class:`SortedPrevalences`, which keeps the parts that depend on the
+prevalences alone (their stable order, the window bounds, the bins, the
+distinct values) so that every pixel of a bank shares them.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 
 __all__ = [
     "DegenerateWeightsError",
+    "SortedPrevalences",
     "StepCdf",
     "WeightVector",
     "apply_ernd",
@@ -38,6 +41,7 @@ __all__ = [
     "histogram_ernd",
     "integrated_squared_distance",
     "ks_distance",
+    "prepare_ernd",
     "select_delta",
 ]
 
@@ -215,21 +219,101 @@ def select_delta(sims) -> float:
 
 
 # ---------------------------------------------------------------------------
+# The parts of the estimators that depend on the simulations alone
+# ---------------------------------------------------------------------------
+
+class SortedPrevalences:
+    """Simulated prevalences with the parts of the estimators that depend on them alone.
+
+    Every estimator takes one in place of the prevalence array.  A part is
+    built the first time an estimator reads it and then kept, one setting
+    at a time (the windows of the last delta, the bins of the last
+    partition), so an instance shared by every pixel of a bank builds each
+    part once, and one made for a single call does the work the estimator
+    would do on the array.
+    """
+
+    def __init__(self, sims):
+        self.values = np.asarray(sims, dtype=float)
+        self._parts: dict[str, tuple] = {}  # name -> (setting, part)
+
+    @classmethod
+    def of(cls, sims) -> "SortedPrevalences":
+        return sims if isinstance(sims, cls) else cls(sims)
+
+    def _part(self, name: str, setting, build):
+        kept = self._parts.get(name)
+        if kept is None or kept[0] != setting:
+            kept = self._parts[name] = (setting, build())
+        return kept[1]
+
+    def order(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stable argsort of the values, and the values in that order."""
+        def build():
+            order = np.argsort(self.values, kind="stable")
+            return order, self.values[order]
+        return self._part("order", None, build)
+
+    def windows(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds [lo, hi) in the sorted values of each sorted value's window of width delta."""
+        sorted_values = self.order()[1]
+        return self._part("windows", delta,
+                          lambda: _window_bounds(sorted_values, sorted_values, delta))
+
+    def bin_index(self, edges: np.ndarray) -> np.ndarray:
+        """The bin of each value in the partition ``edges``."""
+        return self._part("bins", edges.tobytes(), lambda: _bin_index(self.values, edges))
+
+    def distinct(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``np.unique`` of the values, with the inverse and the counts."""
+        return self._part("distinct", None, lambda: np.unique(
+            self.values, return_inverse=True, return_counts=True))
+
+    def auto_delta(self) -> float:
+        """The window width :func:`select_delta` picks for these values."""
+        return self._part("delta", None, lambda: select_delta(self.values))
+
+
+def _equal_bins(histogram_bins: int) -> np.ndarray:
+    return np.linspace(0.0, 1.0, histogram_bins + 1)
+
+
+def prepare_ernd(
+    sims, kind: Literal["distance", "histogram", "discrepancy"],
+    delta: float | None = None, histogram_bins: int = 100,
+) -> tuple[SortedPrevalences, float | None]:
+    """Build the parts of the ``kind`` estimator that depend on ``sims`` alone.
+
+    Returns the prepared prevalences and the window width: ``delta``, or for
+    a ``None`` delta of the distance estimator the :func:`select_delta` choice.
+    """
+    sims = SortedPrevalences.of(sims)
+    if kind == "distance":
+        delta = delta if delta is not None else sims.auto_delta()
+        sims.windows(delta)
+    elif kind == "histogram":
+        sims.bin_index(_equal_bins(histogram_bins))
+    elif kind == "discrepancy":
+        sims.distinct()
+    else:
+        raise ValueError(f"unknown ERND kind {kind!r}")
+    return sims, delta
+
+
+# ---------------------------------------------------------------------------
 # The three empirical Radon-Nikodym derivative estimators
 # ---------------------------------------------------------------------------
 
-def _window_counts(sorted_values: np.ndarray, centers: np.ndarray, delta: float) -> np.ndarray:
+def _window_bounds(
+    sorted_values: np.ndarray, centers: np.ndarray, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
     lo = np.searchsorted(sorted_values, centers - delta / 2.0, side="left")
     hi = np.searchsorted(sorted_values, centers + delta / 2.0, side="right")
-    return hi - lo
+    return lo, hi
 
 
-def _window_weight_sums(
-    sorted_values: np.ndarray, sorted_weights: np.ndarray, centers: np.ndarray, delta: float
-) -> np.ndarray:
+def _window_weight_sums(sorted_weights: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     cum = np.concatenate(([0.0], np.cumsum(sorted_weights)))
-    lo = np.searchsorted(sorted_values, centers - delta / 2.0, side="left")
-    hi = np.searchsorted(sorted_values, centers + delta / 2.0, side="right")
     sums = cum[hi] - cum[lo]
     # cum[hi] - cum[lo] is off by about eps * cum[hi], which swamps a window
     # much lighter than the weight sorted before it (w1 can span many
@@ -263,32 +347,36 @@ def distance_ernd(pixel, sims, w1, delta: float) -> WeightVector:
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
+    sims = SortedPrevalences.of(sims)
     d = np.sort(np.asarray(pixel, dtype=float))
-    p = np.asarray(sims, dtype=float)
     w1 = np.asarray(w1, dtype=float)
-    if w1.shape != p.shape:
+    if w1.shape != sims.values.shape:
         raise ValueError("w1 must have one weight per simulation")
     w1_total = w1.sum()
     if w1_total <= 0.0:
         raise DegenerateWeightsError("stage-1 weights are all zero")
 
+    # every per-simulation array below is in the sorted order of p
     m = d.size
-    order = np.argsort(p, kind="stable")
-    p_sorted = p[order]
+    order, p_sorted = sims.order()
     w_sorted = w1[order]
+    lo, hi = sims.windows(delta)
 
     # f_j = counts_j / (delta m) and g_j = gsum_j / (delta sum(w1)); the
     # window width cancels in the ratio, which avoids overflow at tiny delta
-    counts = _window_counts(d, p, delta)
-    gsum = _window_weight_sums(p_sorted, w_sorted, p, delta)
+    map_lo, map_hi = _window_bounds(d, p_sorted, delta)
+    counts = map_hi - map_lo
+    gsum = _window_weight_sums(w_sorted, lo, hi)
     # Each window contains its own simulation, so g > 0 wherever w1 > 0.
-    positive = w1 > 0.0
+    positive = w_sorted > 0.0
     if not np.all(gsum[positive] > 0.0):
         raise DegenerateWeightsError("window denominator vanished despite support condition")
-    raw = np.zeros_like(w1)
-    raw[positive] = counts[positive] / m * w1_total / gsum[positive] * w1[positive]
+    raw_sorted = np.zeros_like(w_sorted)
+    raw_sorted[positive] = counts[positive] / m * w1_total / gsum[positive] * w_sorted[positive]
+    raw = np.empty_like(raw_sorted)
+    raw[order] = raw_sorted
 
-    dropped = _unmatched_map_fraction(d, p_sorted[w_sorted > 0.0], delta)
+    dropped = _unmatched_map_fraction(d, p_sorted[positive], delta)
     return WeightVector.from_unnormalized(raw, dropped_map_fraction=dropped)
 
 
@@ -310,9 +398,9 @@ def histogram_ernd(
     moved to the nearest bin (by centre) that does contain simulations.
     """
     d = np.asarray(pixel, dtype=float)
-    p = np.asarray(sims, dtype=float)
+    sims = SortedPrevalences.of(sims)
     w1 = np.asarray(w1, dtype=float)
-    if w1.shape != p.shape:
+    if w1.shape != sims.values.shape:
         raise ValueError("w1 must have one weight per simulation")
     edges = np.asarray(bin_edges, dtype=float)
     if edges[0] != 0.0 or edges[-1] != 1.0 or np.any(np.diff(edges) <= 0):
@@ -323,7 +411,7 @@ def histogram_ernd(
 
     n_bins = edges.size - 1
     map_mass = np.bincount(_bin_index(d, edges), minlength=n_bins) / d.size
-    sim_bin = _bin_index(p, edges)
+    sim_bin = sims.bin_index(edges)
     sim_mass = np.bincount(sim_bin, weights=w1, minlength=n_bins) / w1_total
 
     orphan = (map_mass > 0.0) & (sim_mass == 0.0)
@@ -361,10 +449,9 @@ def discrepancy_ernd(pixel, sims) -> WeightVector:
     equally among the duplicates.
     """
     d = np.asarray(pixel, dtype=float)
-    p = np.asarray(sims, dtype=float)
     map_cdf = StepCdf.from_samples(d)
 
-    unique, inverse, counts = np.unique(p, return_inverse=True, return_counts=True)
+    unique, inverse, counts = SortedPrevalences.of(sims).distinct()
     k = unique.size
     if k == 1:
         group_weights = np.array([1.0])
@@ -387,14 +474,14 @@ def apply_ernd(
 ) -> WeightVector:
     """Run the ``kind`` estimator on one pixel.
 
-    A ``None`` delta is chosen with :func:`select_delta`; the histogram has
-    ``histogram_bins`` equal-width bins on [0, 1].
+    ``sims`` is the prevalence array or a :class:`SortedPrevalences` of it.
+    A ``None`` delta is chosen with :func:`select_delta`, once per
+    ``SortedPrevalences``; the histogram has ``histogram_bins`` equal-width
+    bins on [0, 1].
     """
+    sims, delta = prepare_ernd(sims, kind, delta, histogram_bins)
     if kind == "distance":
-        return distance_ernd(pixel, sims, w1, delta if delta is not None else select_delta(sims))
+        return distance_ernd(pixel, sims, w1, delta)
     if kind == "histogram":
-        edges = np.linspace(0.0, 1.0, histogram_bins + 1)
-        return histogram_ernd(pixel, sims, w1, edges, unmatched=unmatched)
-    if kind == "discrepancy":
-        return discrepancy_ernd(pixel, sims)
-    raise ValueError(f"unknown ERND kind {kind!r}")
+        return histogram_ernd(pixel, sims, w1, _equal_bins(histogram_bins), unmatched=unmatched)
+    return discrepancy_ernd(pixel, sims)

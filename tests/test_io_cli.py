@@ -9,8 +9,15 @@ import pytest
 
 from maplink import cli
 from maplink import io as mio
+from maplink import reweight
 from maplink.cli import main
-from maplink.pipeline import PixelPosterior, PixelWeights, PooledUnit, SimulationBank
+from maplink.pipeline import (
+    PixelPosterior,
+    PixelWeights,
+    PooledUnit,
+    SimulationBank,
+    pool_and_filter,
+)
 from maplink.proposal import ParameterVector, TabulatedProposal
 
 
@@ -441,6 +448,71 @@ def test_cli_project_rejects_unknown_scenario(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "missing" in err[0]
     assert not (tmp_path / "s").exists()
+
+
+def test_cli_project_refuses_weights_of_another_bank(tmp_path, capsys):
+    config = write_config(tmp_path)
+    bank_dir = tmp_path / "bank"
+    main(["simulate", "--config", str(config), "--out", str(bank_dir)])
+    (tmp_path / "other").mkdir()
+    other_config = write_config(tmp_path / "other", j_simulations=12)
+    other_bank = tmp_path / "other_bank"
+    main(["simulate", "--config", str(other_config), "--out", str(other_bank)])
+    pixels = make_pixel_file(tmp_path)
+    weights = tmp_path / "weights"
+    main(["weight", "--config", str(other_config), "--bank", str(other_bank),
+          "--pixels", str(pixels), "--out", str(weights), "--delta", "0.25"])
+    # a vector that claims this bank's size but whose indices run backwards
+    units, _ = pool_and_filter(mio.load_pixel_posteriors(pixels))
+    unordered = tmp_path / "unordered"
+    mio.save_weights(unordered, units[:1], [PixelWeights(
+        unit_id=units[0].unit_id, bank_size=10, indices=np.array([5, 2]),
+        values=np.array([0.5, 0.5]), ess=2.0, dropped_map_fraction=0.0, clamp_count=0,
+        low_ess=False)])
+    capsys.readouterr()
+
+    for weights_dir, reason in ((weights, "bank of 12 simulations"),
+                                (unordered, "increase strictly within [0, 10)")):
+        assert main(["project", "--config", str(config), "--bank", str(bank_dir),
+                     "--weights", str(weights_dir), "--out", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: unit p") and reason in err[0]
+
+
+def test_cli_weight_chooses_delta_once_per_command(tmp_path, monkeypatch):
+    config = write_config(tmp_path, delta=None)
+    bank_dir = tmp_path / "bank"
+    main(["simulate", "--config", str(config), "--out", str(bank_dir)])
+    pixels = make_pixel_file(tmp_path)
+    calls = []
+    select_delta = reweight.select_delta
+    monkeypatch.setattr(reweight, "select_delta",
+                        lambda sims: calls.append(1) or select_delta(sims))
+
+    args = ["weight", "--config", str(config), "--bank", str(bank_dir), "--pixels", str(pixels)]
+    assert main(args + ["--out", str(tmp_path / "auto")]) == 0
+    assert len(calls) == 1
+    bank, _ = mio.load_simulation_bank(bank_dir)
+    explicit = repr(select_delta(bank.equilibrium_prevalence))
+    assert main(args + ["--out", str(tmp_path / "explicit"), "--delta", explicit]) == 0
+    # the manifests differ only in the recorded delta
+    auto, fixed = read_all_bytes(tmp_path / "auto"), read_all_bytes(tmp_path / "explicit")
+    assert auto.pop("manifest.json") != fixed.pop("manifest.json")
+    assert auto == fixed and len(auto) == 5
+
+
+@pytest.mark.parametrize("flags", [[], ["--ernd", "histogram"], ["--ernd", "discrepancy"]],
+                         ids=["auto-delta", "histogram", "discrepancy"])
+def test_cli_weight_worker_equivalence_for_each_estimator(tmp_path, flags):
+    config = write_config(tmp_path, delta=None)
+    bank_dir = tmp_path / "bank"
+    main(["simulate", "--config", str(config), "--out", str(bank_dir)])
+    pixels = make_pixel_file(tmp_path, n=5)
+    args = ["weight", "--config", str(config), "--bank", str(bank_dir), "--pixels", str(pixels),
+            *flags]
+    assert main(args + ["--out", str(tmp_path / "w1"), "--workers", "1"]) == 0
+    assert main(args + ["--out", str(tmp_path / "w2"), "--workers", "2"]) == 0
+    assert read_all_bytes(tmp_path / "w1") == read_all_bytes(tmp_path / "w2")
 
 
 @pytest.mark.parametrize("override, key", [

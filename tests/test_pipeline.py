@@ -1,12 +1,14 @@
 """Tests for pooling, per-pixel weighting and projection."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from maplink.pipeline import (
     PixelPosterior,
+    PixelWeights,
     PooledUnit,
     SimulationBank,
     estimated_population,
@@ -335,6 +337,25 @@ def test_estimated_population_limits():
         low_ess=False,
     )
     assert estimated_population(uniform, bank) == pytest.approx(bank.populations.mean())
+
+
+@pytest.mark.parametrize("bank_size, indices, reason", [
+    (8, [2, 5], "bank of 8 simulations"),
+    (10, [5, 2], "increase strictly"),
+    (10, [3, 3], "increase strictly"),
+    (10, [4, 10], "within [0, 10)"),
+    (10, [-1, 4], "within [0, 10)"),
+    (10, [], "increase strictly"),
+])
+def test_weights_of_another_bank_are_refused(bank_size, indices, reason):
+    bank = make_bank(j=10, seed=15, trajectories={"none": np.full((10, 3), 0.2)})
+    weights = PixelWeights(unit_id="stray", bank_size=bank_size, indices=np.array(indices, int),
+                           values=np.full(len(indices), 1.0 / max(len(indices), 1)), ess=1.0,
+                           dropped_map_fraction=0.0, clamp_count=0, low_ess=False)
+    for call in (lambda: project(weights, bank, "none"),
+                 lambda: estimated_population(weights, bank)):
+        with pytest.raises(ValueError, match=r"^unit stray: .*" + re.escape(reason)):
+            call()
 
 
 def test_high_prevalence_pixel_keeps_usable_ess():
