@@ -31,7 +31,7 @@ from .proposal import (
 )
 from .reweight import (
     DegenerateWeightsError,
-    SortedPrevalences,
+    PreparedErnd,
     StepCdf,
     WeightVector,
     apply_ernd,

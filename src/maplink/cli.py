@@ -230,11 +230,15 @@ def cmd_project(args) -> int:
     missing = [s for s in scenario_names if s not in bank.trajectories]
     if missing:
         raise ValueError(f"scenario(s) {missing} not present in the bank")
+    repeated = sorted({s for s in scenario_names if scenario_names.count(s) > 1})
+    if repeated:
+        raise ValueError(f"scenario(s) {repeated} given more than once")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     summaries = []
     for scenario in scenario_names:
+        bank.trajectory_order(scenario)  # built once here, not inside the first unit's project
         per_scenario = [
             project(w, bank, scenario, elimination_threshold=config.elimination_threshold)
             for w in weights
@@ -265,8 +269,6 @@ def cmd_project(args) -> int:
 
 
 def cmd_toy_validate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     raw_rows = []
     for proposal_kind in ("prior", "uniform"):
@@ -282,6 +284,8 @@ def cmd_toy_validate(args) -> int:
             )
             rows.append(summarize_reports(reports))
             raw_rows.extend(reports)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     mio.write_toy_table(out / "toy_table.csv", rows)
     mio.write_toy_replicates(out / "toy_replicates.csv", raw_rows)
     mio.write_manifest(

@@ -489,10 +489,11 @@ def save_weights(directory: Path, units: Sequence[PooledUnit],
 
 def write_excluded_pixels(path: Path, excluded: Sequence[str]) -> None:
     """Ids of the pixels dropped for exceeding the maximum population."""
-    with open(path, "w") as fh:
-        fh.write(f"# schema: {SCHEMA_VERSIONS['excluded']}\npixel_id\n")
-        for pixel_id in excluded:
-            fh.write(pixel_id + "\n")
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# schema: {SCHEMA_VERSIONS['excluded']}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["pixel_id"])
+        writer.writerows([pixel_id] for pixel_id in excluded)
 
 
 def load_weights(directory: Path) -> list[PixelWeights]:
@@ -560,9 +561,10 @@ def write_population_recovery(
     """Weighted mean simulated population and ESS per unit, by unit id."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# schema: {SCHEMA_VERSIONS['recovery']}\n")
-        fh.write("unit_id,estimated_population,ess\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["unit_id", "estimated_population", "ess"])
         for w in sorted(weights, key=lambda w: w.unit_id):
-            fh.write(f"{w.unit_id},{estimated_population(w, bank)!r},{w.ess!r}\n")
+            writer.writerow([w.unit_id, _fmt(estimated_population(w, bank)), _fmt(w.ess)])
 
 
 def write_elimination_csv(

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .proposal import population_prior_density
-from .reweight import SortedPrevalences, apply_ernd, ess, prepare_ernd
+from .reweight import PreparedErnd, apply_ernd, ess, prepare_ernd
 
 if TYPE_CHECKING:  # io imports this module
     from .io import RunConfig
@@ -146,8 +145,9 @@ def pool_and_filter(
 class SimulationBank:
     """Read-only columnar view of the J simulations shared by all pixels.
 
-    What every pixel derives from the bank alone, the sorted prevalences and
-    the sorted trajectory columns, is built on first use and kept here.
+    What every pixel derives from the bank alone, the estimator's prepared
+    prevalences and the sorted trajectory columns, is built on first use and
+    kept here.
     """
 
     populations: np.ndarray
@@ -155,6 +155,9 @@ class SimulationBank:
     equilibrium_prevalence: np.ndarray
     trajectories: dict[str, np.ndarray] = field(default_factory=dict)
     _trajectory_orders: dict[str, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _prepared: dict[tuple, PreparedErnd] = field(  # the last setting asked for only
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -175,10 +178,13 @@ class SimulationBank:
     def size(self) -> int:
         return self.populations.size
 
-    @cached_property
-    def sorted_prevalences(self) -> SortedPrevalences:
-        """The equilibrium prevalences, keeping the estimators' bank-only parts."""
-        return SortedPrevalences(self.equilibrium_prevalence)
+    def prepared_ernd(self, config: RunConfig) -> PreparedErnd:
+        """The configured estimator's parts that depend on the equilibrium prevalences alone."""
+        setting = (config.ernd_kind, config.delta, config.histogram_bins)
+        if setting not in self._prepared:
+            self._prepared.clear()
+            self._prepared[setting] = prepare_ernd(self.equilibrium_prevalence, *setting)
+        return self._prepared[setting]
 
     def trajectory_order(self, scenario: str) -> np.ndarray:
         """Stable argsort of each year's trajectory column of ``scenario``, one row per year."""
@@ -219,8 +225,7 @@ def weight_pixel(unit: PooledUnit, bank: SimulationBank, config: RunConfig) -> P
     """Stage-1 population reweighting composed with the configured estimator."""
     try:
         w1 = stage1_population_weights(bank, unit.population, config.population_log_sd)
-        w2 = apply_ernd(unit.samples, bank.sorted_prevalences, w1, config.ernd_kind,
-                        config.delta, config.histogram_bins, config.unmatched)
+        w2 = apply_ernd(unit.samples, bank.prepared_ernd(config), w1, config.unmatched)
     except ValueError as err:  # DegenerateWeightsError keeps its class
         raise type(err)(f"unit {unit.unit_id}: {err}") from err
 
@@ -286,7 +291,7 @@ def weight_all(
     The estimator's bank-only parts are built here, once, and reach each
     worker with the bank.
     """
-    prepare_ernd(bank.sorted_prevalences, config.ernd_kind, config.delta, config.histogram_bins)
+    bank.prepared_ernd(config)
     return ordered_map(_weight_one, (units, bank, config), len(units), workers, chunksize=8)
 
 

@@ -16,10 +16,10 @@ are provided:
 * :func:`discrepancy_ernd` picks the weights minimising the integrated
   squared distance between the two empirical cdfs, in closed form.
 
-The estimators take the simulated prevalences either as an array or as a
-:class:`SortedPrevalences`, which keeps the parts that depend on the
-prevalences alone (their stable order, the window bounds, the bins, the
-distinct values) so that every pixel of a bank shares them.
+:func:`prepare_ernd` builds, once per estimator setting, a frozen
+:class:`PreparedErnd` of what the estimator derives from the simulated
+prevalences alone, and :func:`apply_ernd` runs that estimator on a pixel.
+Each estimator also takes the prevalence array and then prepares per call.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 __all__ = [
     "DegenerateWeightsError",
-    "SortedPrevalences",
+    "PreparedErnd",
     "StepCdf",
     "WeightVector",
     "apply_ernd",
@@ -222,82 +222,61 @@ def select_delta(sims) -> float:
 # The parts of the estimators that depend on the simulations alone
 # ---------------------------------------------------------------------------
 
-class SortedPrevalences:
-    """Simulated prevalences with the parts of the estimators that depend on them alone.
+@dataclass(frozen=True)
+class PreparedErnd:
+    """One estimator setting's parts that depend on the simulated prevalences alone.
 
-    Every estimator takes one in place of the prevalence array.  A part is
-    built the first time an estimator reads it and then kept, one setting
-    at a time (the windows of the last delta, the bins of the last
-    partition), so an instance shared by every pixel of a bank builds each
-    part once, and one made for a single call does the work the estimator
-    would do on the array.
+    :func:`prepare_ernd` builds every part at once and nothing changes them
+    later, so one value serves every pixel of a bank.
     """
 
-    def __init__(self, sims):
-        self.values = np.asarray(sims, dtype=float)
-        self._parts: dict[str, tuple] = {}  # name -> (setting, part)
-
-    @classmethod
-    def of(cls, sims) -> "SortedPrevalences":
-        return sims if isinstance(sims, cls) else cls(sims)
-
-    def _part(self, name: str, setting, build):
-        kept = self._parts.get(name)
-        if kept is None or kept[0] != setting:
-            kept = self._parts[name] = (setting, build())
-        return kept[1]
-
-    def order(self) -> tuple[np.ndarray, np.ndarray]:
-        """The stable argsort of the values, and the values in that order."""
-        def build():
-            order = np.argsort(self.values, kind="stable")
-            return order, self.values[order]
-        return self._part("order", None, build)
-
-    def windows(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds [lo, hi) in the sorted values of each sorted value's window of width delta."""
-        sorted_values = self.order()[1]
-        return self._part("windows", delta,
-                          lambda: _window_bounds(sorted_values, sorted_values, delta))
-
-    def bin_index(self, edges: np.ndarray) -> np.ndarray:
-        """The bin of each value in the partition ``edges``."""
-        return self._part("bins", edges.tobytes(), lambda: _bin_index(self.values, edges))
-
-    def distinct(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``np.unique`` of the values, with the inverse and the counts."""
-        return self._part("distinct", None, lambda: np.unique(
-            self.values, return_inverse=True, return_counts=True))
-
-    def auto_delta(self) -> float:
-        """The window width :func:`select_delta` picks for these values."""
-        return self._part("delta", None, lambda: select_delta(self.values))
+    kind: Literal["distance", "histogram", "discrepancy"]
+    values: np.ndarray  # the simulated prevalences
+    # distance: the stable order, the values in it and each one's window [lo, hi) in them;
+    # histogram: the bin of each value; discrepancy: np.unique with inverse and counts
+    parts: tuple[np.ndarray, ...]
+    delta: float | None = None  # the window width, for distance only
+    edges: np.ndarray | None = None  # the bin edges, for histogram only
 
 
-def _equal_bins(histogram_bins: int) -> np.ndarray:
-    return np.linspace(0.0, 1.0, histogram_bins + 1)
+def _values(sims) -> np.ndarray:
+    return sims.values if isinstance(sims, PreparedErnd) else np.asarray(sims, dtype=float)
+
+
+def _prepared_for(sims, kind: str, delta: float | None = None, edges=None) -> bool:
+    """Whether ``sims`` holds the ``kind`` estimator's parts for this setting."""
+    return (isinstance(sims, PreparedErnd) and sims.kind == kind and sims.delta == delta
+            and (edges is None or np.array_equal(sims.edges, edges)))
+
+
+def _prepare_histogram(values: np.ndarray, edges: np.ndarray) -> PreparedErnd:
+    return PreparedErnd("histogram", values, (_bin_index(values, edges),), edges=edges)
 
 
 def prepare_ernd(
     sims, kind: Literal["distance", "histogram", "discrepancy"],
     delta: float | None = None, histogram_bins: int = 100,
-) -> tuple[SortedPrevalences, float | None]:
+) -> PreparedErnd:
     """Build the parts of the ``kind`` estimator that depend on ``sims`` alone.
 
-    Returns the prepared prevalences and the window width: ``delta``, or for
-    a ``None`` delta of the distance estimator the :func:`select_delta` choice.
+    ``sims`` is the prevalence array or a :class:`PreparedErnd` of it.  The
+    distance estimator's window width is ``delta``, or for a ``None`` delta
+    the :func:`select_delta` choice; the histogram has ``histogram_bins``
+    equal-width bins on [0, 1].  The other kinds ignore both settings.
     """
-    sims = SortedPrevalences.of(sims)
+    values = _values(sims)
     if kind == "distance":
-        delta = delta if delta is not None else sims.auto_delta()
-        sims.windows(delta)
-    elif kind == "histogram":
-        sims.bin_index(_equal_bins(histogram_bins))
-    elif kind == "discrepancy":
-        sims.distinct()
-    else:
-        raise ValueError(f"unknown ERND kind {kind!r}")
-    return sims, delta
+        delta = delta if delta is not None else select_delta(values)
+        order = np.argsort(values, kind="stable")
+        sorted_values = values[order]
+        lo, hi = _window_bounds(sorted_values, sorted_values, delta)
+        return PreparedErnd(kind, values, (order, sorted_values, lo, hi), delta=delta)
+    if kind == "histogram":
+        return _prepare_histogram(values, np.linspace(0.0, 1.0, histogram_bins + 1))
+    if kind == "discrepancy":
+        return PreparedErnd(kind, values, tuple(
+            np.unique(values, return_inverse=True, return_counts=True)))
+    raise ValueError(f"unknown ERND kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +326,8 @@ def distance_ernd(pixel, sims, w1, delta: float) -> WeightVector:
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
-    sims = SortedPrevalences.of(sims)
+    if not _prepared_for(sims, "distance", delta):
+        sims = prepare_ernd(sims, "distance", delta)
     d = np.sort(np.asarray(pixel, dtype=float))
     w1 = np.asarray(w1, dtype=float)
     if w1.shape != sims.values.shape:
@@ -358,9 +338,8 @@ def distance_ernd(pixel, sims, w1, delta: float) -> WeightVector:
 
     # every per-simulation array below is in the sorted order of p
     m = d.size
-    order, p_sorted = sims.order()
+    order, p_sorted, lo, hi = sims.parts
     w_sorted = w1[order]
-    lo, hi = sims.windows(delta)
 
     # f_j = counts_j / (delta m) and g_j = gsum_j / (delta sum(w1)); the
     # window width cancels in the ratio, which avoids overflow at tiny delta
@@ -398,20 +377,21 @@ def histogram_ernd(
     moved to the nearest bin (by centre) that does contain simulations.
     """
     d = np.asarray(pixel, dtype=float)
-    sims = SortedPrevalences.of(sims)
     w1 = np.asarray(w1, dtype=float)
-    if w1.shape != sims.values.shape:
+    if w1.shape != _values(sims).shape:
         raise ValueError("w1 must have one weight per simulation")
     edges = np.asarray(bin_edges, dtype=float)
     if edges[0] != 0.0 or edges[-1] != 1.0 or np.any(np.diff(edges) <= 0):
         raise ValueError("bin_edges must increase strictly from 0 to 1")
+    if not _prepared_for(sims, "histogram", edges=edges):
+        sims = _prepare_histogram(_values(sims), edges)
     w1_total = w1.sum()
     if w1_total <= 0.0:
         raise DegenerateWeightsError("stage-1 weights are all zero")
 
     n_bins = edges.size - 1
     map_mass = np.bincount(_bin_index(d, edges), minlength=n_bins) / d.size
-    sim_bin = sims.bin_index(edges)
+    (sim_bin,) = sims.parts
     sim_mass = np.bincount(sim_bin, weights=w1, minlength=n_bins) / w1_total
 
     orphan = (map_mass > 0.0) & (sim_mass == 0.0)
@@ -451,7 +431,9 @@ def discrepancy_ernd(pixel, sims) -> WeightVector:
     d = np.asarray(pixel, dtype=float)
     map_cdf = StepCdf.from_samples(d)
 
-    unique, inverse, counts = SortedPrevalences.of(sims).distinct()
+    if not _prepared_for(sims, "discrepancy"):
+        sims = prepare_ernd(sims, "discrepancy")
+    unique, inverse, counts = sims.parts
     k = unique.size
     if k == 1:
         group_weights = np.array([1.0])
@@ -468,20 +450,11 @@ def discrepancy_ernd(pixel, sims) -> WeightVector:
 
 
 def apply_ernd(
-    pixel, sims, w1, kind: Literal["distance", "histogram", "discrepancy"],
-    delta: float | None = None, histogram_bins: int = 100,
-    unmatched: Literal["drop", "transfer"] = "drop",
+    pixel, prepared: PreparedErnd, w1, unmatched: Literal["drop", "transfer"] = "drop"
 ) -> WeightVector:
-    """Run the ``kind`` estimator on one pixel.
-
-    ``sims`` is the prevalence array or a :class:`SortedPrevalences` of it.
-    A ``None`` delta is chosen with :func:`select_delta`, once per
-    ``SortedPrevalences``; the histogram has ``histogram_bins`` equal-width
-    bins on [0, 1].
-    """
-    sims, delta = prepare_ernd(sims, kind, delta, histogram_bins)
-    if kind == "distance":
-        return distance_ernd(pixel, sims, w1, delta)
-    if kind == "histogram":
-        return histogram_ernd(pixel, sims, w1, _equal_bins(histogram_bins), unmatched=unmatched)
-    return discrepancy_ernd(pixel, sims)
+    """Run the estimator ``prepared`` was built for on one pixel."""
+    if prepared.kind == "distance":
+        return distance_ernd(pixel, prepared, w1, prepared.delta)
+    if prepared.kind == "histogram":
+        return histogram_ernd(pixel, prepared, w1, prepared.edges, unmatched=unmatched)
+    return discrepancy_ernd(pixel, prepared)

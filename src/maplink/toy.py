@@ -20,6 +20,7 @@ from .reweight import (
     apply_ernd,
     integrated_squared_distance,
     ks_distance,
+    prepare_ernd,
     select_delta,
 )
 
@@ -151,7 +152,7 @@ def _one_replicate(
     delta: float | None = None
     if ernd_kind == "distance":
         delta = float(delta_policy) if delta_policy is not None else select_delta(sims)
-    w2 = apply_ernd(pixel, sims, w1, ernd_kind, delta)
+    w2 = apply_ernd(pixel, prepare_ernd(sims, ernd_kind, delta), w1)
 
     map_cdf = StepCdf.from_samples(pixel)
     sim_cdf = StepCdf.from_samples(sims, weights=w2.weights)
@@ -184,6 +185,10 @@ def run_toy_experiment(
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
+    if m < 1:
+        raise ValueError(f"need at least one posterior sample per replicate, got m={m}")
+    if j < 3:  # the automatic window rule needs three simulated prevalences
+        raise ValueError(f"need at least 3 simulations per replicate, got j={j}")
     children = np.random.SeedSequence(seed).spawn(replicates)
     return [
         _one_replicate(m, j, ernd_kind, proposal_kind, delta_policy, np.random.default_rng(s), i)

@@ -450,6 +450,49 @@ def test_cli_project_rejects_unknown_scenario(tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
+def test_cli_project_refuses_a_repeated_scenario(tmp_path, capsys):
+    config = write_config(tmp_path)
+    bank_dir = tmp_path / "bank"
+    main(["simulate", "--config", str(config), "--out", str(bank_dir)])
+    weights = tmp_path / "weights"
+    main(["weight", "--config", str(config), "--bank", str(bank_dir),
+          "--pixels", str(make_pixel_file(tmp_path)), "--out", str(weights), "--delta", "0.25"])
+    capsys.readouterr()
+    assert main(["project", "--config", str(config), "--bank", str(bank_dir),
+                 "--weights", str(weights), "--out", str(tmp_path / "s"),
+                 "--scenario", "aMDA65", "--scenario", "none", "--scenario", "none"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "'none'" in err[0]
+    assert "aMDA65" not in err[0]
+    assert not (tmp_path / "s").exists()
+
+
+def test_cli_weight_and_project_quote_ids_with_commas(tmp_path):
+    config = write_config(tmp_path)
+    bank_dir = tmp_path / "bank"
+    main(["simulate", "--config", str(config), "--out", str(bank_dir)])
+    rng = np.random.default_rng(3)
+    pixels = tmp_path / "pixels.csv"
+    mio.save_pixel_posteriors(pixels, [
+        PixelPosterior(pixel_id=pid, country="KE", population=population,
+                       samples=rng.beta(2.0, 2.0, size=30))
+        for pid, population in (("KE,001", 400.0), ("p1", 500.0), ("KE,002", 20_000.0))
+    ])
+    weights, out = tmp_path / "weights", tmp_path / "summaries"
+    assert main(["weight", "--config", str(config), "--bank", str(bank_dir),
+                 "--pixels", str(pixels), "--out", str(weights), "--delta", "0.25"]) == 0
+    assert main(["project", "--config", str(config), "--bank", str(bank_dir),
+                 "--weights", str(weights), "--out", str(out)]) == 0
+
+    assert read_schema_csv(weights / "excluded_pixels.csv", "excluded") == [
+        {"pixel_id": "KE,002"}]
+    recovery = read_schema_csv(out / "population_recovery.csv", "recovery")
+    assert [r["unit_id"] for r in recovery] == ["KE,001", "p1"]
+    assert all(set(r) == {"unit_id", "estimated_population", "ess"} for r in recovery)
+    assert all(float(r["estimated_population"]) > 0.0 and float(r["ess"]) >= 1.0
+               for r in recovery)
+
+
 def test_cli_project_refuses_weights_of_another_bank(tmp_path, capsys):
     config = write_config(tmp_path)
     bank_dir = tmp_path / "bank"
@@ -573,6 +616,16 @@ def test_cli_toy_validate_writes_table(tmp_path):
     assert len(lines) == 2 + 6  # header rows + 2 proposals x 3 estimators
     raw = (out / "toy_replicates.csv").read_text().splitlines()
     assert len(raw) == 2 + 6 * 3
+
+
+@pytest.mark.parametrize("flags, named", [(["--m", "0"], "m=0"), (["--j", "2"], "j=2")],
+                         ids=["m-0", "j-2"])
+def test_cli_toy_validate_refuses_too_few_samples_or_simulations(tmp_path, capsys, flags, named):
+    out = tmp_path / "toy"
+    assert main(["toy-validate", "--out", str(out), "--replicates", "2", *flags]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert not out.exists()
 
 
 def test_cli_inspect_reports_and_verifies(tmp_path, capsys):

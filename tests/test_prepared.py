@@ -24,6 +24,7 @@ from maplink.pipeline import (
 )
 from maplink.reweight import (
     DegenerateWeightsError,
+    PreparedErnd,
     StepCdf,
     WeightVector,
     ess,
@@ -201,3 +202,38 @@ def test_prepared_weights_and_projections_match_the_references(case):
                 got = project(weights, bank, scenario, threshold)
                 assert np.array_equal(got.quantiles, quantiles)
                 assert np.array_equal(got.elimination_probability, elim)
+
+
+# --- one preparation per command ---------------------------------------------------
+
+
+@pytest.mark.parametrize("delta", [0.05, None], ids=["delta-0.05", "delta-null"])
+@pytest.mark.parametrize("kind", ["distance", "histogram", "discrepancy"])
+def test_weight_all_prepares_the_estimator_once_per_bank_and_setting(monkeypatch, kind, delta):
+    # equal weights show nothing here: an estimator that prepares again for
+    # every unit, because the kept setting does not match its own, gives the
+    # same bytes, only slower; so every PreparedErnd built is counted
+    rng = np.random.default_rng(7)
+    j = 300
+    bank = SimulationBank(populations=rng.integers(300, 2000, size=j),
+                          population_proposal_mass=np.full(j, 1.0 / j),
+                          equilibrium_prevalence=rng.beta(2.0, 5.0, size=j))
+    units = [PooledUnit(unit_id=f"u{i}", country="AA", member_pixel_ids=(f"u{i}",),
+                        population=float(rng.integers(300, 1500)),
+                        samples=rng.beta(2.0, 5.0, size=50))
+             for i in range(13)]
+    config = RunConfig(ernd_kind=kind, delta=delta, ess_floor=1.0)
+    builds = []
+    init = PreparedErnd.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args[0] if args else kwargs["kind"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PreparedErnd, "__init__", counting_init)
+    first = weight_all(units, bank, config)
+    assert builds == [kind]
+    again = weight_all(units, bank, config)
+    assert builds == [kind]
+    for a, b in zip(first, again):
+        assert np.array_equal(a.indices, b.indices) and np.array_equal(a.values, b.values)

@@ -17,6 +17,7 @@ from maplink.reweight import (
     histogram_ernd,
     integrated_squared_distance,
     ks_distance,
+    prepare_ernd,
     select_delta,
 )
 
@@ -395,11 +396,11 @@ def test_apply_ernd_dispatch_auto_delta():
     rng = np.random.default_rng(3)
     sims = rng.uniform(size=50)
     pixel = rng.uniform(size=50)
-    w_auto = apply_ernd(pixel, sims, np.ones(50), "distance")
+    w_auto = apply_ernd(pixel, prepare_ernd(sims, "distance"), np.ones(50))
     w_fixed = distance_ernd(pixel, sims, np.ones(50), select_delta(sims))
     assert np.allclose(w_auto.weights, w_fixed.weights)
     with pytest.raises(ValueError, match="kernel"):
-        apply_ernd(pixel, sims, np.ones(50), "kernel")
+        apply_ernd(pixel, prepare_ernd(sims, "kernel"), np.ones(50))
 
 
 @given(
@@ -412,7 +413,7 @@ def test_all_ernds_emit_probability_vectors(sims, pixel, kind):
     sims = np.asarray(sims)
     pixel = np.asarray(pixel)
     try:
-        w = apply_ernd(pixel, sims, np.ones(sims.size), kind, histogram_bins=10)
+        w = apply_ernd(pixel, prepare_ernd(sims, kind, histogram_bins=10), np.ones(sims.size))
     except DegenerateWeightsError:
         return  # pixel shares no mass with the bank; legal outcome
     assert np.all(w.weights >= 0.0)
@@ -437,7 +438,8 @@ def test_all_ernds_invariant_to_w1_scale(sims, pixel, w1, c, kind):
     outcomes = []
     for scaled in (w1, c * w1):
         try:
-            outcomes.append(apply_ernd(pixel, sims, scaled, kind, histogram_bins=10).weights)
+            outcomes.append(apply_ernd(pixel, prepare_ernd(sims, kind, histogram_bins=10),
+                                       scaled).weights)
         except DegenerateWeightsError:
             outcomes.append(None)
     if outcomes[0] is None or outcomes[1] is None:

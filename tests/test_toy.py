@@ -142,6 +142,12 @@ def test_experiment_rejects_bad_replicates():
         run_toy_experiment(replicates=0)
 
 
+@pytest.mark.parametrize("counts, name", [({"m": 0}, "m=0"), ({"j": 2}, "j=2")])
+def test_experiment_rejects_too_few_samples_or_simulations(counts, name):
+    with pytest.raises(ValueError, match=name):
+        run_toy_experiment(replicates=1, **counts)
+
+
 def test_experiment_reports_are_reproducible():
     a = run_toy_experiment(200, 200, 3, "distance", "uniform", None, seed=9)
     b = run_toy_experiment(200, 200, 3, "distance", "uniform", None, seed=9)
