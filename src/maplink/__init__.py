@@ -17,7 +17,6 @@ from .pipeline import (
     project,
     weight_all,
     weight_pixel,
-    weighted_quantile,
 )
 from .proposal import (
     ParameterVector,

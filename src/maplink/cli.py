@@ -369,6 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:  # simulate and weight
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except (OSError, ValueError) as err:  # bad or missing input, DegenerateWeightsError too
         print(f"error: {err}", file=sys.stderr)

@@ -501,10 +501,18 @@ def load_weights(directory: Path) -> list[PixelWeights]:
     indices = np.load(directory / "indices.npy")
     values = np.load(directory / "values.npy")
     offsets = np.load(directory / "offsets.npy")
+    if values.size != indices.size:
+        raise ValueError(f"{directory / 'values.npy'}: {values.size} weights, but "
+                         f"indices.npy holds {indices.size}")
+    if (offsets.size == 0 or offsets[0] != 0 or offsets[-1] != indices.size
+            or np.any(np.diff(offsets) <= 0)):
+        raise ValueError(f"{directory / 'offsets.npy'}: offsets must start at 0, increase "
+                         f"strictly and end at {indices.size}, the number of weights")
     with _open_schema_csv(directory / "units.csv", "weights") as fh:
         rows = list(csv.DictReader(fh))
     if len(rows) != offsets.size - 1:
-        raise ValueError("units.csv does not match the offsets array")
+        raise ValueError(f"{directory / 'units.csv'}: {len(rows)} units, but offsets.npy "
+                         f"holds {offsets.size - 1}")
     out = []
     for i, row in enumerate(rows):
         sl = slice(offsets[i], offsets[i + 1])

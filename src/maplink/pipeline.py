@@ -35,7 +35,6 @@ __all__ = [
     "stage1_population_weights",
     "weight_all",
     "weight_pixel",
-    "weighted_quantile",
 ]
 
 QUANTILE_LEVELS = (0.025, 0.5, 0.975)
@@ -295,17 +294,6 @@ def weight_all(
     return ordered_map(_weight_one, (units, bank, config), len(units), workers, chunksize=8)
 
 
-def weighted_quantile(values, weights, levels) -> np.ndarray:
-    """Lower weighted quantiles: smallest value whose cdf reaches the level."""
-    values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(weights[order])
-    cum /= cum[-1]
-    idx = np.searchsorted(cum, np.asarray(levels, dtype=float), side="left")
-    return values[order][np.minimum(idx, values.size - 1)]
-
-
 @dataclass(frozen=True)
 class ProjectionSummary:
     """Weighted projection of one unit under one intervention scenario."""
@@ -346,11 +334,12 @@ def project(
 ) -> ProjectionSummary:
     """Weighted yearly quantiles and elimination probabilities for one unit.
 
-    The quantiles are :func:`weighted_quantile`'s, taken from a cumulative
-    sum of the dense weights in the bank's stable order of each year's
-    column. That is exact: the bank's stable order, filtered to the unit's
-    ascending indices, is the stable order of the unit's values, and adding
-    the zero weights of the other simulations changes no partial sum.
+    Each quantile is the smallest value whose weighted cdf reaches the
+    level, taken from a cumulative sum of the dense weights in the bank's
+    stable order of each year's column. That is exact: the bank's stable
+    order, filtered to the unit's ascending indices, is the stable order of
+    the unit's values, and adding the zero weights of the other simulations
+    changes no partial sum.
     """
     _check_weights_index(weights, bank)
     traj = bank.trajectories[scenario]

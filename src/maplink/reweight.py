@@ -16,10 +16,11 @@ are provided:
 * :func:`discrepancy_ernd` picks the weights minimising the integrated
   squared distance between the two empirical cdfs, in closed form.
 
-:func:`prepare_ernd` builds, once per estimator setting, a frozen
-:class:`PreparedErnd` of what the estimator derives from the simulated
-prevalences alone, and :func:`apply_ernd` runs that estimator on a pixel.
-Each estimator also takes the prevalence array and then prepares per call.
+:func:`prepare_ernd` checks one estimator setting and builds, once, a frozen
+:class:`PreparedErnd` of what that estimator derives from the simulated
+prevalences alone.  Each estimator reads its setting from it, as in
+``distance_ernd(pixel, prepared, w1)``, and :func:`apply_ernd` runs the one
+``prepared`` was built for on a pixel.
 """
 
 from __future__ import annotations
@@ -239,40 +240,34 @@ class PreparedErnd:
     edges: np.ndarray | None = None  # the bin edges, for histogram only
 
 
-def _values(sims) -> np.ndarray:
-    return sims.values if isinstance(sims, PreparedErnd) else np.asarray(sims, dtype=float)
-
-
-def _prepared_for(sims, kind: str, delta: float | None = None, edges=None) -> bool:
-    """Whether ``sims`` holds the ``kind`` estimator's parts for this setting."""
-    return (isinstance(sims, PreparedErnd) and sims.kind == kind and sims.delta == delta
-            and (edges is None or np.array_equal(sims.edges, edges)))
-
-
-def _prepare_histogram(values: np.ndarray, edges: np.ndarray) -> PreparedErnd:
-    return PreparedErnd("histogram", values, (_bin_index(values, edges),), edges=edges)
-
-
 def prepare_ernd(
     sims, kind: Literal["distance", "histogram", "discrepancy"],
-    delta: float | None = None, histogram_bins: int = 100,
+    delta: float | None = None, histogram_bins: int | np.ndarray = 100,
 ) -> PreparedErnd:
-    """Build the parts of the ``kind`` estimator that depend on ``sims`` alone.
+    """Check a setting and build the ``kind`` estimator's parts that depend on ``sims`` alone.
 
-    ``sims`` is the prevalence array or a :class:`PreparedErnd` of it.  The
-    distance estimator's window width is ``delta``, or for a ``None`` delta
-    the :func:`select_delta` choice; the histogram has ``histogram_bins``
-    equal-width bins on [0, 1].  The other kinds ignore both settings.
+    ``sims`` is the array of simulated prevalences.  The distance
+    estimator's window width is ``delta``, which must be positive, or for a
+    ``None`` delta the :func:`select_delta` choice.  As for
+    ``numpy.histogram``'s ``bins``, ``histogram_bins`` is a count of
+    equal-width bins on [0, 1] or the bin edges themselves, which must
+    increase strictly from 0 to 1.  Each kind ignores the other's setting.
     """
-    values = _values(sims)
+    values = np.asarray(sims, dtype=float)
     if kind == "distance":
         delta = delta if delta is not None else select_delta(values)
+        if not delta > 0.0:
+            raise ValueError("delta must be positive")
         order = np.argsort(values, kind="stable")
         sorted_values = values[order]
         lo, hi = _window_bounds(sorted_values, sorted_values, delta)
         return PreparedErnd(kind, values, (order, sorted_values, lo, hi), delta=delta)
     if kind == "histogram":
-        return _prepare_histogram(values, np.linspace(0.0, 1.0, histogram_bins + 1))
+        edges = (np.linspace(0.0, 1.0, histogram_bins + 1) if np.ndim(histogram_bins) == 0
+                 else np.asarray(histogram_bins, dtype=float))
+        if edges.size < 2 or edges[0] != 0.0 or edges[-1] != 1.0 or np.any(np.diff(edges) <= 0):
+            raise ValueError("histogram_bins edges must increase strictly from 0 to 1")
+        return PreparedErnd(kind, values, (_bin_index(values, edges),), edges=edges)
     if kind == "discrepancy":
         return PreparedErnd(kind, values, tuple(
             np.unique(values, return_inverse=True, return_counts=True)))
@@ -314,7 +309,7 @@ def _unmatched_map_fraction(map_values: np.ndarray, covered: np.ndarray, delta: 
     return float(np.mean(nearest > delta / 2.0))
 
 
-def distance_ernd(pixel, sims, w1, delta: float) -> WeightVector:
+def distance_ernd(pixel, prepared: PreparedErnd, w1) -> WeightVector:
     """Moving-window density-ratio reweighting.
 
     The new weight of simulation j is proportional to ``f(p_j)/g(p_j) * w1_j``
@@ -322,15 +317,11 @@ def distance_ernd(pixel, sims, w1, delta: float) -> WeightVector:
     (per unit width) and ``g`` is the w1-weighted fraction of simulated
     prevalences in the same window.  Windows are closed intervals
     ``[p_j - delta/2, p_j + delta/2]`` with no truncation at the ends of
-    [0, 1].
+    [0, 1], where delta is ``prepared.delta``.
     """
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
-    if not _prepared_for(sims, "distance", delta):
-        sims = prepare_ernd(sims, "distance", delta)
     d = np.sort(np.asarray(pixel, dtype=float))
     w1 = np.asarray(w1, dtype=float)
-    if w1.shape != sims.values.shape:
+    if w1.shape != prepared.values.shape:
         raise ValueError("w1 must have one weight per simulation")
     w1_total = w1.sum()
     if w1_total <= 0.0:
@@ -338,7 +329,8 @@ def distance_ernd(pixel, sims, w1, delta: float) -> WeightVector:
 
     # every per-simulation array below is in the sorted order of p
     m = d.size
-    order, p_sorted, lo, hi = sims.parts
+    order, p_sorted, lo, hi = prepared.parts
+    delta = prepared.delta
     w_sorted = w1[order]
 
     # f_j = counts_j / (delta m) and g_j = gsum_j / (delta sum(w1)); the
@@ -366,9 +358,9 @@ def _bin_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def histogram_ernd(
-    pixel, sims, w1, bin_edges, unmatched: Literal["drop", "transfer"] = "drop"
+    pixel, prepared: PreparedErnd, w1, unmatched: Literal["drop", "transfer"] = "drop"
 ) -> WeightVector:
-    """Fixed-partition density-ratio reweighting.
+    """Fixed-partition density-ratio reweighting over the bins ``prepared.edges``.
 
     All simulations in one bin share the ratio (map fraction of the bin) /
     (w1 fraction of the bin); bin widths cancel.  Bins holding map mass but
@@ -378,20 +370,16 @@ def histogram_ernd(
     """
     d = np.asarray(pixel, dtype=float)
     w1 = np.asarray(w1, dtype=float)
-    if w1.shape != _values(sims).shape:
+    if w1.shape != prepared.values.shape:
         raise ValueError("w1 must have one weight per simulation")
-    edges = np.asarray(bin_edges, dtype=float)
-    if edges[0] != 0.0 or edges[-1] != 1.0 or np.any(np.diff(edges) <= 0):
-        raise ValueError("bin_edges must increase strictly from 0 to 1")
-    if not _prepared_for(sims, "histogram", edges=edges):
-        sims = _prepare_histogram(_values(sims), edges)
     w1_total = w1.sum()
     if w1_total <= 0.0:
         raise DegenerateWeightsError("stage-1 weights are all zero")
 
+    edges = prepared.edges
     n_bins = edges.size - 1
     map_mass = np.bincount(_bin_index(d, edges), minlength=n_bins) / d.size
-    (sim_bin,) = sims.parts
+    (sim_bin,) = prepared.parts
     sim_mass = np.bincount(sim_bin, weights=w1, minlength=n_bins) / w1_total
 
     orphan = (map_mass > 0.0) & (sim_mass == 0.0)
@@ -416,7 +404,7 @@ def histogram_ernd(
     return WeightVector.from_unnormalized(raw, dropped_map_fraction=dropped)
 
 
-def discrepancy_ernd(pixel, sims) -> WeightVector:
+def discrepancy_ernd(pixel, prepared: PreparedErnd) -> WeightVector:
     """Weights minimising the integrated squared cdf distance, in closed form.
 
     Writing ``c_j`` for the cumulative weight assigned up to the j-th sorted
@@ -430,10 +418,7 @@ def discrepancy_ernd(pixel, sims) -> WeightVector:
     """
     d = np.asarray(pixel, dtype=float)
     map_cdf = StepCdf.from_samples(d)
-
-    if not _prepared_for(sims, "discrepancy"):
-        sims = prepare_ernd(sims, "discrepancy")
-    unique, inverse, counts = sims.parts
+    unique, inverse, counts = prepared.parts
     k = unique.size
     if k == 1:
         group_weights = np.array([1.0])
@@ -454,7 +439,7 @@ def apply_ernd(
 ) -> WeightVector:
     """Run the estimator ``prepared`` was built for on one pixel."""
     if prepared.kind == "distance":
-        return distance_ernd(pixel, prepared, w1, prepared.delta)
+        return distance_ernd(pixel, prepared, w1)
     if prepared.kind == "histogram":
-        return histogram_ernd(pixel, prepared, w1, prepared.edges, unmatched=unmatched)
+        return histogram_ernd(pixel, prepared, w1, unmatched=unmatched)
     return discrepancy_ernd(pixel, prepared)

@@ -35,7 +35,6 @@ __all__ = [
     "equilibrium_l3",
     "importation_decay_from_pilot",
     "initial_state",
-    "larvae_uptake",
     "mf_prevalence",
     "population_uptake",
     "run_scenario",
@@ -237,23 +236,15 @@ def acquisition_rate(
     return rate
 
 
-def larvae_uptake(mf_per_20ul, params: ModelParams) -> np.ndarray:
-    """Larvae developing in a mosquito after a blood meal at mf density m.
-
-    Anopheles uptake is squared-saturating (facilitation: vanishing slope at
-    low density); culex saturates linearly (limitation: maximal slope at low
-    density).  Both are zero at zero and level off at their saturation value.
-    """
-    m = np.asarray(mf_per_20ul, dtype=float)
-    if (m < 0.0).any():
-        raise ValueError("mf density must be non-negative")
-    scale, curve = _uptake_curve(m, params)
-    return scale * curve
-
-
 def _uptake_curve(m, params: ModelParams):
-    # (scale, curve) with larvae_uptake = scale * curve, without the sign check
-    # (step keeps mf non-negative); 1 - exp(-x) = -expm1(-x)
+    """Larvae developing in a mosquito after a blood meal at mf density m: scale * curve.
+
+    Anopheles uptake is squared-saturating
+    (facilitation: vanishing slope at low density); culex saturates linearly
+    (limitation: maximal slope at low density).  Both are zero at zero and
+    level off at their saturation value.  ``step`` keeps mf non-negative.
+    """
+    # 1 - exp(-x) = -expm1(-x)
     if params.species == "anopheles":
         ks = params.uptake_kappa_s2
         curve = np.expm1(m * (-params.uptake_r2 / ks))

@@ -19,7 +19,6 @@ from maplink.pipeline import (
     SimulationBank,
     estimated_population,
     weight_pixel,
-    weighted_quantile,
 )
 from maplink.proposal import ParameterVector, adapt_population_proposal
 from maplink.reweight import (
@@ -30,6 +29,7 @@ from maplink.reweight import (
     histogram_ernd,
     integrated_squared_distance,
     ks_distance,
+    prepare_ernd,
     select_delta,
 )
 from maplink.toy import (
@@ -49,6 +49,7 @@ from maplink.transmission import (
     run_to_equilibrium,
     step,
 )
+from reference import weighted_quantile
 
 SEED = 20260809
 
@@ -103,7 +104,8 @@ def test_criterion_2_analytic_posterior_oracle():
     pixel = toy_target_sampler(2000, rng)
     draws = sample_toy_uniform_proposal(2000, rng)
     w1 = toy_stage1_weights(draws)
-    w2 = distance_ernd(pixel, draws.prevalence, w1, select_delta(draws.prevalence))
+    w2 = distance_ernd(pixel, prepare_ernd(draws.prevalence, "distance",
+                                           select_delta(draws.prevalence)), w1)
 
     order = np.argsort(draws.theta2)
     values = draws.theta2[order]
@@ -136,7 +138,7 @@ def test_criterion_3_discrepancy_optimality():
         m = int(rng.integers(1, 17))
         sims = rng.uniform(size=j)
         pixel = rng.uniform(size=m)
-        w = discrepancy_ernd(pixel, sims)
+        w = discrepancy_ernd(pixel, prepare_ernd(sims, "discrepancy"))
         f = StepCdf.from_samples(pixel)
         h = StepCdf.from_samples(sims, weights=w.weights)
         ours = integrated_squared_distance(f, h)
@@ -202,7 +204,7 @@ def _histogram_cases(draw):
 @given(_histogram_cases())
 def test_criterion_4_histogram_reproduction(case):
     edges, sims, w1, pixel = case
-    w = histogram_ernd(pixel, sims, w1, edges)
+    w = histogram_ernd(pixel, prepare_ernd(sims, "histogram", histogram_bins=edges), w1)
     sim_bins = np.clip(np.searchsorted(edges, sims, side="right") - 1, 0, edges.size - 2)
     map_bins = np.clip(np.searchsorted(edges, pixel, side="right") - 1, 0, edges.size - 2)
     for b in range(edges.size - 1):

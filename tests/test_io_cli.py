@@ -522,6 +522,44 @@ def test_cli_project_refuses_weights_of_another_bank(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("error: unit p") and reason in err[0]
 
 
+@pytest.mark.parametrize("file, edit", [
+    ("values.npy", lambda path: np.save(path, np.load(path)[:-3])),
+    ("offsets.npy", lambda path: np.save(path, np.load(path) + 1)),
+    ("offsets.npy", lambda path: np.save(path, np.load(path)[:-1])),
+    ("units.csv", lambda path: path.write_text("".join(path.read_text().splitlines(True)[:-1]))),
+], ids=["values-short", "offsets-from-1", "offsets-end-early", "units-short"])
+def test_cli_project_refuses_weight_arrays_that_disagree(tmp_path, capsys, file, edit):
+    config = write_config(tmp_path)
+    bank_dir = tmp_path / "bank"
+    main(["simulate", "--config", str(config), "--out", str(bank_dir)])
+    weights = tmp_path / "weights"
+    main(["weight", "--config", str(config), "--bank", str(bank_dir),
+          "--pixels", str(make_pixel_file(tmp_path)), "--out", str(weights), "--delta", "0.25"])
+    edit(weights / file)
+    capsys.readouterr()
+    assert main(["project", "--config", str(config), "--bank", str(bank_dir),
+                 "--weights", str(weights), "--out", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {weights / file}: ")
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "weight"])
+def test_cli_refuses_fewer_than_one_worker(tmp_path, capsys, command):
+    config = write_config(tmp_path)
+    bank_dir = tmp_path / "bank"
+    main(["simulate", "--config", str(config), "--out", str(bank_dir)])
+    inputs = {"simulate": [],
+              "weight": ["--bank", str(bank_dir), "--pixels", str(make_pixel_file(tmp_path))]}
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), *inputs[command], "--out", str(out),
+                 "--workers", "0"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "--workers" in err[0]
+    assert not out.exists()
+
+
 def test_cli_weight_chooses_delta_once_per_command(tmp_path, monkeypatch):
     config = write_config(tmp_path, delta=None)
     bank_dir = tmp_path / "bank"

@@ -47,3 +47,34 @@ def test_module_emits_no_warnings(path):
         and node.value.id == "warnings"
     ]
     assert imports + uses == []
+
+
+# exported names that no package module needs to reach: the toy's closed-form
+# oracles for acceptance criterion 2, and the pixel-file writer that the
+# benchmark inputs and the tests use to make pixel files
+REACHED_FROM_OUTSIDE = {
+    "analytic_theta2_posterior_cdf",
+    "analytic_theta2_posterior_pdf",
+    "save_pixel_posteriors",
+}
+
+
+def test_every_exported_name_is_reached_in_the_package():
+    # library code that no stage or command reaches is deleted or wired in; a
+    # name counts as reached when any module reads it as a name or attribute
+    # (imports and `__all__` entries do not count)
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+    read = set()
+    exported = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(ast.literal_eval(node.value))
+    assert sorted(exported - read - REACHED_FROM_OUTSIDE) == []

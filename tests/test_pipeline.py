@@ -17,11 +17,11 @@ from maplink.pipeline import (
     stage1_population_weights,
     weight_all,
     weight_pixel,
-    weighted_quantile,
 )
 from maplink.io import RunConfig
 from maplink.proposal import population_prior_density
 from maplink.reweight import DegenerateWeightsError
+from reference import weighted_quantile
 
 
 def make_pixel(pid, country="KE", population=1000.0, samples=None, rng=None):

@@ -20,7 +20,6 @@ from maplink.pipeline import (
     project,
     stage1_population_weights,
     weight_all,
-    weighted_quantile,
 )
 from maplink.reweight import (
     DegenerateWeightsError,
@@ -30,6 +29,7 @@ from maplink.reweight import (
     ess,
     select_delta,
 )
+from reference import weighted_quantile
 
 # --- references: every bank-only quantity recomputed per pixel ---------------
 
@@ -210,9 +210,8 @@ def test_prepared_weights_and_projections_match_the_references(case):
 @pytest.mark.parametrize("delta", [0.05, None], ids=["delta-0.05", "delta-null"])
 @pytest.mark.parametrize("kind", ["distance", "histogram", "discrepancy"])
 def test_weight_all_prepares_the_estimator_once_per_bank_and_setting(monkeypatch, kind, delta):
-    # equal weights show nothing here: an estimator that prepares again for
-    # every unit, because the kept setting does not match its own, gives the
-    # same bytes, only slower; so every PreparedErnd built is counted
+    # equal weights show nothing here: a preparation repeated for every unit
+    # gives the same bytes, only slower; so every PreparedErnd built is counted
     rng = np.random.default_rng(7)
     j = 300
     bank = SimulationBank(populations=rng.integers(300, 2000, size=j),

@@ -170,13 +170,14 @@ def test_distance_identity_stays_uniform_in_interior():
     # uniform weights exactly (f = g pointwise)
     rng = np.random.default_rng(0)
     values = rng.uniform(0.3, 0.7, size=200)
-    w = distance_ernd(values, values, np.ones(values.size), delta=0.05)
+    w = distance_ernd(values, prepare_ernd(values, "distance", 0.05), np.ones(values.size))
     assert np.allclose(w.weights, 1.0 / values.size)
 
 
 def test_distance_hand_window_counts():
     w = distance_ernd(
-        np.array([0.1, 0.1, 0.1, 0.5]), np.array([0.1, 0.5, 0.9]), np.ones(3), delta=0.2
+        np.array([0.1, 0.1, 0.1, 0.5]), prepare_ernd(np.array([0.1, 0.5, 0.9]), "distance", 0.2),
+        np.ones(3),
     )
     assert np.allclose(w.weights, [0.75, 0.25, 0.0])
     assert w.dropped_map_fraction == 0.0
@@ -184,25 +185,28 @@ def test_distance_hand_window_counts():
 
 def test_distance_zero_window_is_dropped_mass():
     # the sim at 0.9 gets weight zero; map samples near 0 are unreachable
-    w = distance_ernd(np.array([0.0, 0.5]), np.array([0.5, 0.9]), np.ones(2), delta=0.1)
+    w = distance_ernd(np.array([0.0, 0.5]), prepare_ernd(np.array([0.5, 0.9]), "distance", 0.1),
+                      np.ones(2))
     assert w.weights[1] == 0.0
     assert w.dropped_map_fraction == pytest.approx(0.5)
 
 
 def test_distance_requires_positive_delta():
     with pytest.raises(ValueError):
-        distance_ernd(np.array([0.5]), np.array([0.5]), np.ones(1), delta=0.0)
+        distance_ernd(np.array([0.5]), prepare_ernd(np.array([0.5]), "distance", 0.0), np.ones(1))
 
 
 def test_distance_window_lighter_than_prefix_sum_rounding():
     # cum[2] - cum[1] = (1 + 1e-20) - 1 rounds to 0; the window of 0.5 holds 1e-20
-    w = distance_ernd(np.array([0.1, 0.5]), np.array([0.1, 0.5]), np.array([1.0, 1e-20]), 0.01)
+    w = distance_ernd(np.array([0.1, 0.5]), prepare_ernd(np.array([0.1, 0.5]), "distance", 0.01),
+                      np.array([1.0, 1e-20]))
     assert np.allclose(w.weights, [0.5, 0.5], rtol=1e-12)
 
 
 def test_distance_all_zero_weights_degenerate():
     with pytest.raises(DegenerateWeightsError):
-        distance_ernd(np.array([0.9, 0.95]), np.array([0.1, 0.2]), np.ones(2), delta=0.01)
+        distance_ernd(np.array([0.9, 0.95]), prepare_ernd(np.array([0.1, 0.2]), "distance", 0.01),
+                      np.ones(2))
 
 
 def test_distance_ks_shrinks_with_sample_size():
@@ -215,7 +219,8 @@ def test_distance_ks_shrinks_with_sample_size():
         for _ in range(20):
             sims = rng.beta(2.0, 2.0, size=n)
             pixel = rng.beta(2.0, 2.0, size=n)
-            w = distance_ernd(pixel, sims, np.ones(n), delta=select_delta(sims))
+            w = distance_ernd(pixel, prepare_ernd(sims, "distance", select_delta(sims)),
+                              np.ones(n))
             stats.append(
                 ks_distance(
                     StepCdf.from_samples(pixel), StepCdf.from_samples(sims, weights=w.weights)
@@ -231,30 +236,31 @@ def test_histogram_single_bin_returns_normalized_w1():
     w1 = np.array([0.2, 0.5, 0.3, 1.0])
     sims = np.array([0.1, 0.4, 0.6, 0.9])
     pixel = np.array([0.25, 0.75])
-    w = histogram_ernd(pixel, sims, w1, np.array([0.0, 1.0]))
+    w = histogram_ernd(pixel, prepare_ernd(sims, "histogram", histogram_bins=[0.0, 1.0]), w1)
     assert np.allclose(w.weights, w1 / w1.sum())
 
 
 def test_histogram_hand_two_bins():
     w = histogram_ernd(
         np.array([0.25, 0.25, 0.25, 0.75]),
-        np.array([0.25, 0.75]),
+        prepare_ernd(np.array([0.25, 0.75]), "histogram", histogram_bins=[0.0, 0.5, 1.0]),
         np.ones(2),
-        np.array([0.0, 0.5, 1.0]),
     )
     assert np.allclose(w.weights, [0.75, 0.25])
-    with pytest.raises(ValueError, match="bin_edges"):
-        histogram_ernd(np.array([0.25]), np.array([0.25]), np.ones(1),
-                       np.array([0.0, 0.5, 0.4, 1.0]))
+    with pytest.raises(ValueError, match="histogram_bins"):
+        histogram_ernd(
+            np.array([0.25]),
+            prepare_ernd(np.array([0.25]), "histogram", histogram_bins=[0.0, 0.5, 0.4, 1.0]),
+            np.ones(1),
+        )
 
 
 def test_histogram_orphan_bin_dropped_and_recorded():
     # map mass in (0.5, 1] but no simulations there
     w = histogram_ernd(
         np.array([0.2, 0.2, 0.9, 0.9]),
-        np.array([0.1, 0.3]),
+        prepare_ernd(np.array([0.1, 0.3]), "histogram", histogram_bins=[0.0, 0.5, 1.0]),
         np.ones(2),
-        np.array([0.0, 0.5, 1.0]),
     )
     assert w.dropped_map_fraction == pytest.approx(0.5)
     assert np.allclose(w.weights, [0.5, 0.5])
@@ -263,9 +269,8 @@ def test_histogram_orphan_bin_dropped_and_recorded():
 def test_histogram_orphan_bin_transferred():
     w = histogram_ernd(
         np.array([0.2, 0.2, 0.9, 0.9]),
-        np.array([0.1, 0.3]),
+        prepare_ernd(np.array([0.1, 0.3]), "histogram", histogram_bins=[0.0, 0.5, 1.0]),
         np.ones(2),
-        np.array([0.0, 0.5, 1.0]),
         unmatched="transfer",
     )
     assert w.dropped_map_fraction == 0.0
@@ -300,7 +305,7 @@ def histogram_instances(draw):
 @given(histogram_instances())
 def test_histogram_reproduces_map_histogram(instance):
     edges, sims, w1, pixel = instance
-    w = histogram_ernd(pixel, sims, w1, edges)
+    w = histogram_ernd(pixel, prepare_ernd(sims, "histogram", histogram_bins=edges), w1)
     assert w.dropped_map_fraction == 0.0
     sim_bins = np.clip(np.searchsorted(edges, sims, side="right") - 1, 0, edges.size - 2)
     map_bins = np.clip(np.searchsorted(edges, pixel, side="right") - 1, 0, edges.size - 2)
@@ -314,7 +319,7 @@ def test_histogram_reproduces_map_histogram(instance):
 
 def test_discrepancy_perfect_match_when_possible():
     d = np.array([0.1, 0.2, 0.2, 0.7])
-    w = discrepancy_ernd(d, d)
+    w = discrepancy_ernd(d, prepare_ernd(d, "discrepancy"))
     assert isd_bruteforce(d, d, w.weights) == pytest.approx(0.0, abs=1e-15)
     f = StepCdf.from_samples(d)
     h = StepCdf.from_samples(d, weights=w.weights)
@@ -328,7 +333,7 @@ def test_discrepancy_small_instance_beats_random_weights():
         m = rng.integers(1, 17)
         sims = rng.uniform(size=j)
         pixel = rng.uniform(size=m)
-        w = discrepancy_ernd(pixel, sims)
+        w = discrepancy_ernd(pixel, prepare_ernd(sims, "discrepancy"))
         best = isd_bruteforce(pixel, sims, w.weights)
         for _ in range(1000):
             cand = rng.dirichlet(np.ones(j))
@@ -344,7 +349,7 @@ def test_discrepancy_matches_numeric_minimizer():
         m = int(rng.integers(1, 17))
         sims = rng.uniform(size=j)
         pixel = rng.uniform(size=m)
-        w = discrepancy_ernd(pixel, sims)
+        w = discrepancy_ernd(pixel, prepare_ernd(sims, "discrepancy"))
 
         res = minimize(
             lambda v: isd_bruteforce(pixel, sims, v),
@@ -360,7 +365,7 @@ def test_discrepancy_matches_numeric_minimizer():
 def test_discrepancy_duplicates_split_equally():
     pixel = np.array([0.15, 0.5, 0.85])
     sims = np.array([0.4, 0.4, 0.8, 0.1])
-    w = discrepancy_ernd(pixel, sims)
+    w = discrepancy_ernd(pixel, prepare_ernd(sims, "discrepancy"))
     assert w.weights[0] == pytest.approx(w.weights[1])
     assert w.weights.sum() == pytest.approx(1.0)
 
@@ -371,7 +376,7 @@ def test_discrepancy_tracks_map_cdf_between_sims():
     rng = np.random.default_rng(5)
     sims = np.sort(rng.uniform(size=6))
     pixel = rng.uniform(size=12)
-    w = discrepancy_ernd(pixel, sims)
+    w = discrepancy_ernd(pixel, prepare_ernd(sims, "discrepancy"))
     cum = np.cumsum(w.weights[np.argsort(sims)])
     f = StepCdf.from_samples(pixel)
     for jj in range(5):
@@ -397,10 +402,21 @@ def test_apply_ernd_dispatch_auto_delta():
     sims = rng.uniform(size=50)
     pixel = rng.uniform(size=50)
     w_auto = apply_ernd(pixel, prepare_ernd(sims, "distance"), np.ones(50))
-    w_fixed = distance_ernd(pixel, sims, np.ones(50), select_delta(sims))
+    w_fixed = distance_ernd(pixel, prepare_ernd(sims, "distance", select_delta(sims)), np.ones(50))
     assert np.allclose(w_auto.weights, w_fixed.weights)
     with pytest.raises(ValueError, match="kernel"):
         apply_ernd(pixel, prepare_ernd(sims, "kernel"), np.ones(50))
+
+
+def test_histogram_bins_count_and_equal_width_edges_agree():
+    rng = np.random.default_rng(4)
+    sims = rng.uniform(size=200)
+    pixel = rng.beta(2.0, 3.0, size=100)
+    w1 = rng.uniform(0.5, 2.0, size=200)
+    by_count = apply_ernd(pixel, prepare_ernd(sims, "histogram", histogram_bins=10), w1)
+    by_edges = apply_ernd(
+        pixel, prepare_ernd(sims, "histogram", histogram_bins=np.linspace(0.0, 1.0, 11)), w1)
+    assert np.array_equal(by_count.weights, by_edges.weights)
 
 
 @given(

@@ -8,6 +8,7 @@ from maplink.reweight import (
     distance_ernd,
     integrated_squared_distance,
     ks_distance,
+    prepare_ernd,
     select_delta,
 )
 from maplink.toy import (
@@ -118,7 +119,8 @@ def test_reweighted_prevalence_matches_beta12():
     pixel = toy_target_sampler(2000, rng)
     draws = sample_toy_uniform_proposal(2000, rng)
     w1 = toy_stage1_weights(draws)
-    w2 = distance_ernd(pixel, draws.prevalence, w1, select_delta(draws.prevalence))
+    w2 = distance_ernd(pixel, prepare_ernd(draws.prevalence, "distance",
+                                           select_delta(draws.prevalence)), w1)
     beta12_cdf = lambda x: 1.0 - (1.0 - x) ** 2
     assert weighted_cdf_distance(draws.prevalence, w2.weights, beta12_cdf) < 0.05
 
@@ -128,7 +130,8 @@ def test_reweighted_theta2_matches_analytic_posterior():
     pixel = toy_target_sampler(2000, rng)
     draws = sample_toy_uniform_proposal(2000, rng)
     w1 = toy_stage1_weights(draws)
-    w2 = distance_ernd(pixel, draws.prevalence, w1, select_delta(draws.prevalence))
+    w2 = distance_ernd(pixel, prepare_ernd(draws.prevalence, "distance",
+                                           select_delta(draws.prevalence)), w1)
     dist = weighted_cdf_distance(
         draws.theta2, w2.weights, lambda x: analytic_theta2_posterior_cdf(x)
     )
@@ -171,7 +174,8 @@ def test_ess_nondecreasing_in_delta_sweep():
     w1 = toy_stage1_weights(draws)
     deltas = np.arange(0.001, 0.1001, 0.003)
     ess_values = [
-        distance_ernd(pixel, draws.prevalence, w1, d).ess for d in deltas
+        distance_ernd(pixel, prepare_ernd(draws.prevalence, "distance", d), w1).ess
+        for d in deltas
     ]
     drops = np.diff(ess_values) / np.maximum(ess_values[:-1], 1.0)
     assert np.all(drops > -0.01)  # 1% slack for Monte Carlo noise

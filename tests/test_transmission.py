@@ -16,7 +16,6 @@ from maplink.transmission import (
     equilibrium_l3,
     importation_decay_from_pilot,
     initial_state,
-    larvae_uptake,
     mf_prevalence,
     population_uptake,
     run_scenario,
@@ -70,12 +69,23 @@ def test_age_exposure_ramp():
     assert acquisition_rate(1.0, 400.0, theta, PARAMS) == pytest.approx(full)
 
 
+def uptake(mf_per_20ul, params=PARAMS):
+    """Larval uptake at each mf density, read through `population_uptake` of one host."""
+    state = initial_state(make_theta(population=1), UNINFECTED, np.random.default_rng(0))
+    state.bite_risk = np.ones(1)
+    values = []
+    for m in np.atleast_1d(mf_per_20ul):
+        state.mf = np.array([m], dtype=float)
+        values.append(population_uptake(state, params))
+    return np.array(values)
+
+
 def test_uptake_zero_at_zero_and_saturates():
-    assert larvae_uptake(0.0, PARAMS) == 0.0
-    assert larvae_uptake(1e9, PARAMS) == pytest.approx(PARAMS.uptake_kappa_s2, rel=1e-9)
+    assert uptake(0.0) == 0.0
+    assert uptake(1e9) == pytest.approx(PARAMS.uptake_kappa_s2, rel=1e-9)
     m = np.linspace(0.0, 50.0, 200)
     for species in ("anopheles", "culex"):
-        vals = larvae_uptake(m, replace(PARAMS, species=species))
+        vals = uptake(m, replace(PARAMS, species=species))
         assert np.all(np.diff(vals) >= 0.0)
 
 
@@ -83,16 +93,14 @@ def test_uptake_facilitation_vs_limitation_at_low_density():
     # anopheles (squared form) has vanishing slope at zero; culex rises with
     # slope r; with matched constants anopheles sits below culex
     m = np.array([1e-6, 1e-4, 0.01])
-    anoph = larvae_uptake(m, replace(PARAMS, species="anopheles"))
-    culex = larvae_uptake(m, replace(PARAMS, species="culex"))
+    anoph = uptake(m, replace(PARAMS, species="anopheles"))
+    culex = uptake(m, replace(PARAMS, species="culex"))
     assert np.all(anoph < culex)
     assert anoph[0] / m[0] < 1e-3
     assert culex[0] / m[0] == pytest.approx(PARAMS.uptake_r1, rel=1e-3)
 
 
 def test_uptake_rejects_negative():
-    with pytest.raises(ValueError):
-        larvae_uptake(-1.0, PARAMS)
     with pytest.raises(ValueError):
         ModelParams(species="aedes")
 
@@ -103,9 +111,7 @@ def test_population_uptake_weighted_mean():
     state = initial_state(theta, UNINFECTED, rng)
     state.bite_risk = np.array([1.0, 3.0])
     state.mf = np.array([0.0, 5.0])
-    expected = (
-        larvae_uptake(0.0, PARAMS) * 1.0 + larvae_uptake(5.0, PARAMS) * 3.0
-    ) / 4.0
+    expected = (uptake(0.0)[0] * 1.0 + uptake(5.0)[0] * 3.0) / 4.0
     assert population_uptake(state, PARAMS) == pytest.approx(expected)
 
 
