@@ -65,9 +65,10 @@ def _simulate_one(shared, sim_index: int):
 
 def cmd_simulate(args) -> int:
     config = _run_config(args, seed=args.seed)
+    params = config.model_params()
+    grid = load_vh_k_grid(config.vh_k_grid_path) if config.vh_k_grid_path else default_vh_k_grid()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    params = config.model_params()
 
     population_proposal = adapt_population_proposal(
         config.population_log_sd,
@@ -77,11 +78,6 @@ def cmd_simulate(args) -> int:
         reference_stride=config.proposal_reference_stride,
     )
     mio.save_population_proposal(out / "population_proposal.csv", population_proposal)
-    grid = (
-        load_vh_k_grid(config.vh_k_grid_path)
-        if config.vh_k_grid_path
-        else default_vh_k_grid()
-    )
 
     thetas = sample_bank(
         population_proposal,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import numbers
 import types
@@ -90,14 +91,60 @@ def save_npy(path: Path, array: np.ndarray) -> None:
         np.save(fh, array)
 
 
-def _open_schema_csv(path: Path, kind: str):
-    fh = open(path, "r", newline="")
-    header = fh.readline().strip()
-    expected = f"# schema: {SCHEMA_VERSIONS[kind]}"
-    if header != expected:
-        fh.close()
-        raise ValueError(f"{path}: expected header {expected!r}, found {header!r}")
-    return fh
+# the kinds whose v1 rows end in CRLF, the csv module's default; the others'
+# rows, and every schema line, end in LF
+_CRLF_ROWS = frozenset({"proposal", "params", "pixels", "weights", "summary", "elimination"})
+
+
+def _write_table(path: Path, kind: str, columns: Sequence[str], rows) -> None:
+    """Write a ``kind`` table: its schema line, the header ``columns``, then ``rows``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# schema: {SCHEMA_VERSIONS[kind]}\n")
+        writer = csv.writer(fh, lineterminator="\r\n" if kind in _CRLF_ROWS else "\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def _read_table(path: Path, kind: str, columns, parse):
+    """``parse`` of a ``kind`` table's list of rows, once its schema line and header check.
+
+    ``columns`` is the header, or for a table as wide as its data a function
+    of the header's width that gives it.  ``parse`` takes every row at once,
+    which keeps per-row Python work out of reading a large bank.  A row
+    narrower or wider than the header, one the csv module cannot read, and
+    the first row that ``parse`` raises ``ValueError`` for on its own are
+    refused with the path and line.
+    """
+    with open(path, newline="") as fh:
+        schema, expected = fh.readline().strip(), f"# schema: {SCHEMA_VERSIONS[kind]}"
+        if schema != expected:
+            raise ValueError(f"{path}: line 1: expected {expected!r}, found {schema!r}")
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        expected = list(columns(len(header)) if callable(columns) else columns)
+        if header != expected:
+            pairs = enumerate(itertools.zip_longest(header, expected), 1)
+            i, got, want = next((i, got, want) for i, (got, want) in pairs if got != want)
+            raise ValueError(f"{path}: line 2: header column {i} is {got!r}, expected {want!r}")
+        try:
+            rows = list(reader)
+        except csv.Error as err:
+            raise ValueError(f"{path}: line {reader.line_num + 1}: {err}") from None
+    if set(map(len, rows)) <= {len(header)}:
+        try:
+            return parse(rows)
+        except ValueError:
+            pass  # raised again below, with the line of the row at fault
+    line = 3  # where each row starts; a line break inside a quoted field adds a line
+    for row in rows:
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, but the header has {len(header)}")
+            parse([row])
+        except ValueError as err:
+            raise ValueError(f"{path}: line {line}: {err}") from None
+        line += 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
+    return parse(rows)
 
 
 def _has_type(value, hint) -> bool:
@@ -307,12 +354,8 @@ def load_manifest(directory: Path, verify: bool = True) -> dict:
 # ---------------------------------------------------------------------------
 
 def save_population_proposal(path: Path, proposal: TabulatedProposal) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema: {SCHEMA_VERSIONS['proposal']}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["population", "mass"])
-        for n, m in zip(proposal.support, proposal.mass):
-            writer.writerow([int(n), _fmt(m)])
+    _write_table(path, "proposal", ["population", "mass"],
+                 ([int(n), _fmt(m)] for n, m in zip(proposal.support, proposal.mass)))
 
 
 _PARAM_COLUMNS = [
@@ -339,21 +382,17 @@ def write_bank_shard(
     directory.mkdir(parents=True, exist_ok=True)
     tag = f"s{shard_index:04d}"
     params_path = directory / f"params_{tag}.csv"
-    with open(params_path, "w", newline="") as fh:
-        fh.write(f"# schema: {SCHEMA_VERSIONS['params']}\n")
-        writer = csv.writer(fh)
-        writer.writerow(_PARAM_COLUMNS)
-        for offset, (theta, q) in enumerate(zip(thetas, proposal_mass)):
-            writer.writerow(
-                [
-                    first_sim_id + offset,
-                    theta.population,
-                    _fmt(theta.vector_host_ratio),
-                    _fmt(theta.aggregation_k),
-                    _fmt(theta.importation_rate),
-                    _fmt(q),
-                ]
-            )
+    _write_table(params_path, "params", _PARAM_COLUMNS, (
+        [
+            first_sim_id + offset,
+            theta.population,
+            _fmt(theta.vector_host_ratio),
+            _fmt(theta.aggregation_k),
+            _fmt(theta.importation_rate),
+            _fmt(q),
+        ]
+        for offset, (theta, q) in enumerate(zip(thetas, proposal_mass))
+    ))
     save_npy(directory / f"equilibrium_{tag}.npy", np.asarray(equilibrium, dtype=float))
     files = {"params": params_path.name, "equilibrium": f"equilibrium_{tag}.npy"}
     for name, traj in trajectories.items():
@@ -368,38 +407,27 @@ def write_bank_shard(
     }
 
 
-def _read_params_csv(path: Path) -> dict[str, np.ndarray]:
-    with _open_schema_csv(path, "params") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _PARAM_COLUMNS:
-            raise ValueError(f"{path}: unexpected columns {header}")
-        rows = list(reader)
-    # columns 1 and 5 of _PARAM_COLUMNS; the others are not read back
-    return {
-        "population": np.array([int(r[1]) for r in rows], dtype=np.int64),
-        "population_proposal_mass": np.array([float(r[5]) for r in rows]),
-    }
-
-
 def load_simulation_bank(directory: Path) -> tuple[SimulationBank, dict]:
     """Assemble the bank from its shards, in shard order; returns (bank, manifest)."""
     directory = Path(directory)
     manifest = load_manifest(directory)
     shards = sorted(manifest["shards"], key=lambda s: s["index"])
-    columns: dict[str, list[np.ndarray]] = {}
-    eq_parts, traj_parts = [], {}
+    populations, masses, eq_parts, traj_parts = [], [], [], {}
     for shard in shards:
-        params = _read_params_csv(directory / shard["files"]["params"])
-        for key, arr in params.items():
-            columns.setdefault(key, []).append(arr)
+        # columns 1 and 5 of _PARAM_COLUMNS; the others are not read back
+        population, mass = _read_table(
+            directory / shard["files"]["params"], "params", _PARAM_COLUMNS,
+            lambda rows: (np.array([int(row[1]) for row in rows], dtype=np.int64),
+                          np.array([float(row[5]) for row in rows])))
+        populations.append(population)
+        masses.append(mass)
         eq_parts.append(np.load(directory / shard["files"]["equilibrium"]))
         for key, fname in shard["files"].items():
             if key.startswith("traj_"):
                 traj_parts.setdefault(key[5:], []).append(np.load(directory / fname))
     bank = SimulationBank(
-        populations=np.concatenate(columns["population"]),
-        population_proposal_mass=np.concatenate(columns["population_proposal_mass"]),
+        populations=np.concatenate(populations),
+        population_proposal_mass=np.concatenate(masses),
         equilibrium_prevalence=np.concatenate(eq_parts),
         trajectories={name: np.concatenate(parts) for name, parts in traj_parts.items()},
     )
@@ -410,47 +438,37 @@ def load_simulation_bank(directory: Path) -> tuple[SimulationBank, dict]:
 # Pixel posteriors
 # ---------------------------------------------------------------------------
 
+def _pixel_columns(m: int) -> list[str]:
+    return ["pixel_id", "country", "population"] + [f"s{i:04d}" for i in range(m)]
+
+
 def save_pixel_posteriors(path: Path, pixels: Sequence[PixelPosterior]) -> None:
     if not pixels:
         raise ValueError("no pixels to write")
     m = pixels[0].samples.size
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema: {SCHEMA_VERSIONS['pixels']}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["pixel_id", "country", "population"] + [f"s{i:04d}" for i in range(m)]
-        )
-        for pixel in pixels:
-            if pixel.samples.size != m:
-                raise ValueError("all pixels must share the posterior sample count")
-            writer.writerow(
-                [pixel.pixel_id, pixel.country, _fmt(pixel.population)]
-                + [_fmt(v) for v in pixel.samples]
-            )
+    if any(pixel.samples.size != m for pixel in pixels):
+        raise ValueError("all pixels must share the posterior sample count")
+    _write_table(path, "pixels", _pixel_columns(m), (
+        [pixel.pixel_id, pixel.country, _fmt(pixel.population)] + [_fmt(v) for v in pixel.samples]
+        for pixel in pixels
+    ))
 
 
 def load_pixel_posteriors(path: Path) -> list[PixelPosterior]:
-    with _open_schema_csv(Path(path), "pixels") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["pixel_id", "country", "population"]:
-            raise ValueError(f"{path}: unexpected pixel file columns")
-        pixels = []
-        for row in reader:
-            pixels.append(
-                PixelPosterior(
-                    pixel_id=row[0],
-                    country=row[1],
-                    population=float(row[2]),
-                    samples=np.array([float(v) for v in row[3:]]),
-                )
-            )
-    return pixels
+    return _read_table(Path(path), "pixels", lambda width: _pixel_columns(width - 3), lambda rows: [
+        PixelPosterior(pixel_id=row[0], country=row[1], population=float(row[2]),
+                       samples=np.array([float(v) for v in row[3:]]))
+        for row in rows
+    ])
 
 
 # ---------------------------------------------------------------------------
 # Weights
 # ---------------------------------------------------------------------------
+
+_UNIT_COLUMNS = ["unit_id", "country", "population", "members", "bank_size", "ess",
+                 "dropped_map_fraction", "clamp_count", "low_ess"]
+
 
 def save_weights(directory: Path, units: Sequence[PooledUnit],
                  weights: Sequence[PixelWeights]) -> None:
@@ -464,36 +482,25 @@ def save_weights(directory: Path, units: Sequence[PooledUnit],
     save_npy(directory / "values.npy",
              np.concatenate([w.values for w in weights]) if weights else np.empty(0))
     save_npy(directory / "offsets.npy", offsets)
-    with open(directory / "units.csv", "w", newline="") as fh:
-        fh.write(f"# schema: {SCHEMA_VERSIONS['weights']}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["unit_id", "country", "population", "members", "bank_size", "ess",
-             "dropped_map_fraction", "clamp_count", "low_ess"]
-        )
-        for unit, w in zip(units, weights):
-            writer.writerow(
-                [
-                    w.unit_id,
-                    unit.country,
-                    _fmt(unit.population),
-                    ";".join(unit.member_pixel_ids),
-                    w.bank_size,
-                    _fmt(w.ess),
-                    _fmt(w.dropped_map_fraction),
-                    w.clamp_count,
-                    int(w.low_ess),
-                ]
-            )
+    _write_table(directory / "units.csv", "weights", _UNIT_COLUMNS, (
+        [
+            w.unit_id,
+            unit.country,
+            _fmt(unit.population),
+            ";".join(unit.member_pixel_ids),
+            w.bank_size,
+            _fmt(w.ess),
+            _fmt(w.dropped_map_fraction),
+            w.clamp_count,
+            int(w.low_ess),
+        ]
+        for unit, w in zip(units, weights)
+    ))
 
 
 def write_excluded_pixels(path: Path, excluded: Sequence[str]) -> None:
     """Ids of the pixels dropped for exceeding the maximum population."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema: {SCHEMA_VERSIONS['excluded']}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["pixel_id"])
-        writer.writerows([pixel_id] for pixel_id in excluded)
+    _write_table(path, "excluded", ["pixel_id"], ([pixel_id] for pixel_id in excluded))
 
 
 def load_weights(directory: Path) -> list[PixelWeights]:
@@ -508,27 +515,17 @@ def load_weights(directory: Path) -> list[PixelWeights]:
             or np.any(np.diff(offsets) <= 0)):
         raise ValueError(f"{directory / 'offsets.npy'}: offsets must start at 0, increase "
                          f"strictly and end at {indices.size}, the number of weights")
-    with _open_schema_csv(directory / "units.csv", "weights") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = _read_table(directory / "units.csv", "weights", _UNIT_COLUMNS, lambda rows: [
+        dict(unit_id=row[0], bank_size=int(row[4]), ess=float(row[5]),
+             dropped_map_fraction=float(row[6]), clamp_count=int(row[7]),
+             low_ess=bool(int(row[8])))
+        for row in rows
+    ])
     if len(rows) != offsets.size - 1:
         raise ValueError(f"{directory / 'units.csv'}: {len(rows)} units, but offsets.npy "
                          f"holds {offsets.size - 1}")
-    out = []
-    for i, row in enumerate(rows):
-        sl = slice(offsets[i], offsets[i + 1])
-        out.append(
-            PixelWeights(
-                unit_id=row["unit_id"],
-                bank_size=int(row["bank_size"]),
-                indices=indices[sl],
-                values=values[sl],
-                ess=float(row["ess"]),
-                dropped_map_fraction=float(row["dropped_map_fraction"]),
-                clamp_count=int(row["clamp_count"]),
-                low_ess=bool(int(row["low_ess"])),
-            )
-        )
-    return out
+    return [PixelWeights(indices=indices[start:stop], values=values[start:stop], **row)
+            for row, start, stop in zip(rows, offsets[:-1], offsets[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -537,42 +534,33 @@ def load_weights(directory: Path) -> list[PixelWeights]:
 
 def write_summary_csv(path: Path, summaries: Sequence[ProjectionSummary]) -> None:
     """One row per unit, scenario and year, ordered deterministically."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema: {SCHEMA_VERSIONS['summary']}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["unit_id", "scenario", "year", "prevalence_q025", "prevalence_q500",
-             "prevalence_q975", "elimination_probability", "ess",
-             "dropped_map_fraction", "low_ess"]
-        )
-        for summary in sorted(summaries, key=lambda s: (s.unit_id, s.scenario)):
-            for year in range(summary.years + 1):
-                writer.writerow(
-                    [
-                        summary.unit_id,
-                        summary.scenario,
-                        year,
-                        _fmt(summary.quantiles[0, year]),
-                        _fmt(summary.quantiles[1, year]),
-                        _fmt(summary.quantiles[2, year]),
-                        _fmt(summary.elimination_probability[year]),
-                        _fmt(summary.ess),
-                        _fmt(summary.dropped_map_fraction),
-                        int(summary.low_ess),
-                    ]
-                )
+    _write_table(path, "summary", [
+        "unit_id", "scenario", "year", "prevalence_q025", "prevalence_q500", "prevalence_q975",
+        "elimination_probability", "ess", "dropped_map_fraction", "low_ess",
+    ], (
+        [
+            summary.unit_id,
+            summary.scenario,
+            year,
+            *map(_fmt, summary.quantiles[:, year]),
+            _fmt(summary.elimination_probability[year]),
+            _fmt(summary.ess),
+            _fmt(summary.dropped_map_fraction),
+            int(summary.low_ess),
+        ]
+        for summary in sorted(summaries, key=lambda s: (s.unit_id, s.scenario))
+        for year in range(summary.years + 1)
+    ))
 
 
 def write_population_recovery(
     path: Path, weights: Sequence[PixelWeights], bank: SimulationBank
 ) -> None:
     """Weighted mean simulated population and ESS per unit, by unit id."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema: {SCHEMA_VERSIONS['recovery']}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["unit_id", "estimated_population", "ess"])
-        for w in sorted(weights, key=lambda w: w.unit_id):
-            writer.writerow([w.unit_id, _fmt(estimated_population(w, bank)), _fmt(w.ess)])
+    _write_table(path, "recovery", ["unit_id", "estimated_population", "ess"], (
+        [w.unit_id, _fmt(estimated_population(w, bank)), _fmt(w.ess)]
+        for w in sorted(weights, key=lambda w: w.unit_id)
+    ))
 
 
 def write_elimination_csv(
@@ -581,20 +569,15 @@ def write_elimination_csv(
     probability_thresholds: Sequence[float],
 ) -> None:
     """Achieved/not-achieved flags per unit, scenario and probability threshold."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema: {SCHEMA_VERSIONS['elimination']}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["unit_id", "scenario", "probability_threshold", "elimination_probability",
-             "achieved"]
-        )
-        for summary in sorted(summaries, key=lambda s: (s.unit_id, s.scenario)):
-            final = summary.elimination_probability[-1]
-            for threshold in probability_thresholds:
-                writer.writerow(
-                    [summary.unit_id, summary.scenario, _fmt(threshold), _fmt(final),
-                     int(final >= threshold)]
-                )
+    _write_table(path, "elimination", [
+        "unit_id", "scenario", "probability_threshold", "elimination_probability", "achieved",
+    ], (
+        [summary.unit_id, summary.scenario, _fmt(threshold),
+         _fmt(summary.elimination_probability[-1]),
+         int(summary.elimination_probability[-1] >= threshold)]
+        for summary in sorted(summaries, key=lambda s: (s.unit_id, s.scenario))
+        for threshold in probability_thresholds
+    ))
 
 
 def write_proportion_eliminated_csv(
@@ -603,52 +586,37 @@ def write_proportion_eliminated_csv(
     probability_thresholds: Sequence[float],
 ) -> None:
     """Proportion of units achieving elimination, per scenario and threshold."""
-    by_scenario: dict[str, list[float]] = {}
+    finals: dict[str, list[float]] = {}
     for summary in summaries:
-        by_scenario.setdefault(summary.scenario, []).append(
-            summary.elimination_probability[-1]
-        )
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema: {SCHEMA_VERSIONS['elimination']}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "probability_threshold", "proportion_achieved"])
-        for scenario in sorted(by_scenario):
-            finals = np.array(by_scenario[scenario])
-            for threshold in probability_thresholds:
-                writer.writerow(
-                    [scenario, _fmt(threshold), _fmt(float(np.mean(finals >= threshold)))]
-                )
+        finals.setdefault(summary.scenario, []).append(summary.elimination_probability[-1])
+    _write_table(path, "elimination", ["scenario", "probability_threshold",
+                                       "proportion_achieved"], (
+        [scenario, _fmt(threshold), _fmt(np.mean(np.array(finals[scenario]) >= threshold))]
+        for scenario in sorted(finals)
+        for threshold in probability_thresholds
+    ))
 
 
 # ---------------------------------------------------------------------------
 # Toy benchmark table
 # ---------------------------------------------------------------------------
 
+# the (band, statistic) columns of the toy table, in order
+_TOY_COLUMNS = [(band, q) for band in ("isd_x1000", "ess") for q in ("median", "lo", "hi", "mean")]
+
+
 def write_toy_table(path: Path, rows: Sequence[dict]) -> None:
     """One row per (proposal, estimator) cell of ``toy.summarize_reports``."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema: {SCHEMA_VERSIONS['toy_table']}\n")
-        fh.write(
-            "proposal,ernd,isd_x1000_median,isd_x1000_lo,isd_x1000_hi,isd_x1000_mean,"
-            "ess_median,ess_lo,ess_hi,ess_mean\n"
-        )
-        for row in rows:
-            isd, ess_band = row["isd_x1000"], row["ess"]
-            fh.write(
-                f"{row['proposal']},{row['ernd']},{isd['median']!r},{isd['lo']!r},"
-                f"{isd['hi']!r},{isd['mean']!r},{ess_band['median']!r},{ess_band['lo']!r},"
-                f"{ess_band['hi']!r},{ess_band['mean']!r}\n"
-            )
+    _write_table(path, "toy_table", ["proposal", "ernd"] + [f"{b}_{q}" for b, q in _TOY_COLUMNS], (
+        [row["proposal"], row["ernd"]] + [_fmt(row[b][q]) for b, q in _TOY_COLUMNS] for row in rows
+    ))
 
 
 def write_toy_replicates(path: Path, reports: Sequence[ToyExperimentReport]) -> None:
     """One row per replicate; ``delta`` is empty where no window was used."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema: {SCHEMA_VERSIONS['toy_replicates']}\n")
-        fh.write("proposal,ernd,replicate,ks,isd,ess,delta\n")
-        for r in reports:
-            delta = "" if r.delta is None else repr(r.delta)
-            fh.write(
-                f"{r.proposal_kind},{r.ernd_kind},{r.replicate_seed},{r.ks!r},{r.isd!r},"
-                f"{r.ess!r},{delta}\n"
-            )
+    _write_table(path, "toy_replicates", ["proposal", "ernd", "replicate", "ks", "isd", "ess",
+                                          "delta"], (
+        [r.proposal_kind, r.ernd_kind, r.replicate_seed, _fmt(r.ks), _fmt(r.isd), _fmt(r.ess),
+         "" if r.delta is None else _fmt(r.delta)]
+        for r in reports
+    ))

@@ -279,16 +279,22 @@ def default_vh_k_grid(n_vh: int = 24, n_k: int = 24) -> VhkGrid:
 
 
 def load_vh_k_grid(path: str | Path) -> VhkGrid:
-    """Load a joint (V/H, k) grid from CSV."""
-    vh, k, mass = [], [], []
+    """Load a joint (V/H, k) grid from CSV; lines that start with ``#`` are comments.
+
+    A missing column, a value that is not a number and a grid that
+    :class:`VhkGrid` refuses all raise one ``ValueError`` naming the path.
+    """
+    columns = ("vector_host_ratio", "aggregation_k", "mass")
     with open(path, newline="") as fh:
-        for row in csv.DictReader(filter(lambda ln: not ln.startswith("#"), fh)):
-            vh.append(float(row["vector_host_ratio"]))
-            k.append(float(row["aggregation_k"]))
-            mass.append(float(row["mass"]))
-    return VhkGrid(
-        vector_host_ratio=np.array(vh), aggregation_k=np.array(k), mass=np.array(mass)
-    )
+        reader = csv.DictReader(filter(lambda ln: not ln.startswith("#"), fh), restval="")
+        try:
+            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"no {missing[0]!r} column")
+            values = [[float(row[c]) for c in columns] for row in reader]
+            return VhkGrid(*np.array(values, dtype=float).reshape(-1, 3).T.copy())
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
 
 
 # ---------------------------------------------------------------------------

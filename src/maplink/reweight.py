@@ -278,6 +278,11 @@ def prepare_ernd(
 # The three empirical Radon-Nikodym derivative estimators
 # ---------------------------------------------------------------------------
 
+def _check_kind(prepared: PreparedErnd, kind: str) -> None:
+    if prepared.kind != kind:
+        raise ValueError(f"{kind}_ernd needs a {kind!r} PreparedErnd, got a {prepared.kind!r} one")
+
+
 def _window_bounds(
     sorted_values: np.ndarray, centers: np.ndarray, delta: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -319,6 +324,7 @@ def distance_ernd(pixel, prepared: PreparedErnd, w1) -> WeightVector:
     ``[p_j - delta/2, p_j + delta/2]`` with no truncation at the ends of
     [0, 1], where delta is ``prepared.delta``.
     """
+    _check_kind(prepared, "distance")
     d = np.sort(np.asarray(pixel, dtype=float))
     w1 = np.asarray(w1, dtype=float)
     if w1.shape != prepared.values.shape:
@@ -368,6 +374,7 @@ def histogram_ernd(
     mass is dropped and recorded, or with ``unmatched="transfer"`` it is
     moved to the nearest bin (by centre) that does contain simulations.
     """
+    _check_kind(prepared, "histogram")
     d = np.asarray(pixel, dtype=float)
     w1 = np.asarray(w1, dtype=float)
     if w1.shape != prepared.values.shape:
@@ -416,6 +423,7 @@ def discrepancy_ernd(pixel, prepared: PreparedErnd) -> WeightVector:
     prevalences are merged before solving and the merged weight is split
     equally among the duplicates.
     """
+    _check_kind(prepared, "discrepancy")
     d = np.asarray(pixel, dtype=float)
     map_cdf = StepCdf.from_samples(d)
     unique, inverse, counts = prepared.parts

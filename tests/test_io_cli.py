@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,12 @@ from maplink.pipeline import (
     PixelPosterior,
     PixelWeights,
     PooledUnit,
+    ProjectionSummary,
     SimulationBank,
     pool_and_filter,
 )
 from maplink.proposal import ParameterVector, TabulatedProposal
+from maplink.toy import ToyExperimentReport, summarize_reports
 
 
 def read_schema_csv(path, kind):
@@ -134,6 +137,75 @@ def test_schema_header_rejected_on_mismatch(tmp_path):
     path.write_text("# schema: something/else v9\npixel_id,country,population,s0000\n")
     with pytest.raises(ValueError, match="schema"):
         mio.load_pixel_posteriors(path)
+
+
+def test_table_errors_name_the_line_past_quoted_line_breaks(tmp_path):
+    path = tmp_path / "pixels.csv"
+    mio.save_pixel_posteriors(path, [
+        PixelPosterior(pixel_id=f"p\n{i}", country="KE", population=400.0, samples=np.ones(1))
+        for i in range(2)
+    ])
+    assert [p.pixel_id for p in mio.load_pixel_posteriors(path)] == ["p\n0", "p\n1"]
+    path.write_bytes(path.read_bytes() + b"p9,KE,x,0.5\r\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 7: "):
+        mio.load_pixel_posteriors(path)
+
+
+def _write_every_table(directory: Path) -> dict[Path, bytes]:
+    """One small file from each CSV writer; returns each path with its v1 row terminator."""
+    thetas = [ParameterVector(population=300 + i, vector_host_ratio=5.0, aggregation_k=0.2,
+                              importation_rate=1e-4) for i in range(2)]
+    eq = np.array([0.1, 0.2])
+    mio.write_bank_shard(directory / "bank", 0, 0, thetas, np.full(2, 0.5), eq,
+                         {"none": eq[:, None]})
+    bank = SimulationBank(populations=np.array([300, 301]),
+                          population_proposal_mass=np.full(2, 0.5), equilibrium_prevalence=eq)
+    mio.save_population_proposal(directory / "proposal.csv", TabulatedProposal(
+        support=np.arange(300, 302), mass=np.full(2, 0.5)))
+    pixels = [PixelPosterior(pixel_id=f"p{i}", country="KE", population=400.0,
+                             samples=np.array([0.1, 0.3])) for i in range(2)]
+    mio.save_pixel_posteriors(directory / "pixels.csv", pixels)
+    units, _ = pool_and_filter(pixels)
+    weights = [PixelWeights(unit_id=u.unit_id, bank_size=2, indices=np.array([0, 1]),
+                            values=np.array([0.5, 0.5]), ess=2.0, dropped_map_fraction=0.0,
+                            clamp_count=0, low_ess=False) for u in units]
+    mio.save_weights(directory / "weights", units, weights)
+    mio.write_excluded_pixels(directory / "excluded.csv", ["p8", "p9"])
+    summaries = [ProjectionSummary(unit_id=w.unit_id, scenario="none",
+                                   quantiles=np.full((3, 2), 0.1),
+                                   elimination_probability=np.array([0.0, 0.5]), ess=2.0,
+                                   dropped_map_fraction=0.0, low_ess=False) for w in weights]
+    mio.write_summary_csv(directory / "summary.csv", summaries)
+    mio.write_population_recovery(directory / "recovery.csv", weights, bank)
+    mio.write_elimination_csv(directory / "elimination.csv", summaries, (0.4, 0.9))
+    mio.write_proportion_eliminated_csv(directory / "proportion.csv", summaries, (0.4, 0.9))
+    reports = [ToyExperimentReport(ks=0.1, isd=0.01, ess=50.0, delta=delta, replicate_seed=i,
+                                   ernd_kind="distance", proposal_kind="prior")
+               for i, delta in enumerate((0.05, None))]
+    mio.write_toy_table(directory / "toy_table.csv", [summarize_reports(reports)] * 2)
+    mio.write_toy_replicates(directory / "toy_replicates.csv", reports)
+    crlf, lf = b"\r\n", b"\n"
+    return {
+        directory / "proposal.csv": crlf,
+        directory / "bank" / "params_s0000.csv": crlf,
+        directory / "pixels.csv": crlf,
+        directory / "weights" / "units.csv": crlf,
+        directory / "summary.csv": crlf,
+        directory / "elimination.csv": crlf,
+        directory / "proportion.csv": crlf,
+        directory / "excluded.csv": lf,
+        directory / "recovery.csv": lf,
+        directory / "toy_table.csv": lf,
+        directory / "toy_replicates.csv": lf,
+    }
+
+
+def test_every_table_keeps_its_v1_line_endings(tmp_path):
+    for path, ending in _write_every_table(tmp_path).items():
+        schema, rows = path.read_bytes().split(b"\n", 1)
+        assert schema.startswith(b"# schema: maplink/") and not schema.endswith(b"\r"), path
+        assert len(rows.splitlines()) >= 3, path  # the header and two rows
+        assert rows.endswith(ending) and rows.split(ending)[:-1] == rows.splitlines(), path
 
 
 # --- run config ------------------------------------------------------------------
@@ -641,6 +713,59 @@ def test_cli_missing_input_is_one_line_error(tmp_path, capsys, command, missing)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path / missing) in err[0]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("lines", [
+    ["vector_host_ratio,mass", "5.0,1.0"],
+    ["# schema: maplink/vh-k-grid v1", "vector_host_ratio,aggregation_k,mass", "5.0,abc,1.0"],
+], ids=["missing-column", "not-a-number"])
+def test_cli_simulate_names_a_bad_grid_file(tmp_path, capsys, lines):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("\n".join(lines) + "\n")
+    config = write_config(tmp_path, vh_k_grid_path=str(grid))
+    out = tmp_path / "bank"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {grid}: ")
+    assert not out.exists()
+
+
+def _shorten_a_params_row(path):
+    """Drop the last field of the second row, then refresh the bank's checksums."""
+    lines = path.read_bytes().splitlines(True)
+    lines[3] = lines[3].rsplit(b",", 1)[0] + b"\r\n"
+    path.write_bytes(b"".join(lines))
+    mio.write_manifest(path.parent, mio.load_manifest(path.parent, verify=False))
+
+
+@pytest.mark.parametrize("command, file, edit", [
+    ("weight", "pixels.csv", lambda path: path.write_bytes(path.read_bytes() + b"\n")),
+    ("weight", "pixels.csv", lambda path: path.write_bytes(path.read_bytes().split(b"\n")[0])),
+    ("weight", "pixels.csv",
+     lambda path: path.write_bytes(path.read_bytes().replace(b",KE,", b",KE,x", 1))),
+    ("project", "weights/units.csv",
+     lambda path: path.write_bytes(path.read_bytes().replace(b",ess,", b",ESS,", 1))),
+    ("weight", "bank/params_s0000.csv", _shorten_a_params_row),
+], ids=["pixels-blank-line", "pixels-schema-only", "pixels-not-a-number",
+        "units-renamed-column", "params-short-row"])
+def test_cli_refuses_a_malformed_table_naming_file_and_line(tmp_path, capsys, command, file,
+                                                            edit):
+    config = write_config(tmp_path)
+    bank_dir = tmp_path / "bank"
+    main(["simulate", "--config", str(config), "--out", str(bank_dir)])
+    pixels = make_pixel_file(tmp_path)
+    weights = tmp_path / "weights"
+    main(["weight", "--config", str(config), "--bank", str(bank_dir), "--pixels", str(pixels),
+          "--out", str(weights), "--delta", "0.25"])
+    edit(tmp_path / file)
+    capsys.readouterr()
+    inputs = {"weight": ["--pixels", str(pixels)], "project": ["--weights", str(weights)]}
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--bank", str(bank_dir), *inputs[command],
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / file}: line "), err
+    assert not out.exists()
 
 
 def test_cli_toy_validate_writes_table(tmp_path):

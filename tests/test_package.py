@@ -49,6 +49,44 @@ def test_module_emits_no_warnings(path):
     assert imports + uses == []
 
 
+_CSV_WRITERS = ("writer", "DictWriter")
+
+
+def _inside(tree, function_name: str) -> set[int]:
+    """Ids of the nodes inside the module's functions of that name."""
+    return {
+        id(node)
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef) and function.name == function_name
+        for node in ast.walk(function)
+    }
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_tables_are_written_by_write_table_alone(path):
+    # every CSV goes through io._write_table, so a csv writer or a schema line
+    # anywhere else is a second way to write a table; io._read_table checks
+    # the schema line, so it may hold its text
+    tree = ast.parse(path.read_text(), filename=str(path))
+    writer, reader = _inside(tree, "_write_table"), _inside(tree, "_read_table")
+    csv_writers = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in _CSV_WRITERS
+            and isinstance(node.value, ast.Name) and node.value.id == "csv"
+            or isinstance(node, ast.ImportFrom) and node.module == "csv"
+            and any(alias.name in _CSV_WRITERS for alias in node.names))
+        and id(node) not in writer
+    ]
+    schema_lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and "# schema:" in node.value and id(node) not in writer | reader
+    ]
+    assert csv_writers + schema_lines == []
+
+
 # exported names that no package module needs to reach: the toy's closed-form
 # oracles for acceptance criterion 2, and the pixel-file writer that the
 # benchmark inputs and the tests use to make pixel files

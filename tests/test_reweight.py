@@ -462,3 +462,19 @@ def test_all_ernds_invariant_to_w1_scale(sims, pixel, w1, c, kind):
         assert outcomes[0] is None and outcomes[1] is None
     else:
         assert np.allclose(outcomes[0], outcomes[1], rtol=1e-9)
+
+
+ESTIMATORS = {
+    "distance": lambda pixel, prepared: distance_ernd(pixel, prepared, np.ones(3)),
+    "histogram": lambda pixel, prepared: histogram_ernd(pixel, prepared, np.ones(3)),
+    "discrepancy": discrepancy_ernd,
+}
+
+
+@pytest.mark.parametrize("estimator, prepared_kind", [
+    (estimator, kind) for estimator in ESTIMATORS for kind in ESTIMATORS if kind != estimator
+])
+def test_estimators_refuse_a_preparation_of_another_kind(estimator, prepared_kind):
+    prepared = prepare_ernd(np.array([0.2, 0.5, 0.8]), prepared_kind, delta=0.1)
+    with pytest.raises(ValueError, match=f"{estimator}_ernd .*'{prepared_kind}'"):
+        ESTIMATORS[estimator](np.array([0.5]), prepared)
