@@ -15,10 +15,12 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import numbers
 import types
 import typing
 from dataclasses import asdict, dataclass, field
+from io import BytesIO, StringIO
 from pathlib import Path
 from typing import Literal, Sequence
 
@@ -105,31 +107,37 @@ def _write_table(path: Path, kind: str, columns: Sequence[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _read_table(path: Path, kind: str, columns, parse):
-    """``parse`` of a ``kind`` table's list of rows, once its schema line and header check.
+def _read_table(path: Path, data: bytes, kind: str, columns, parse):
+    """``parse`` of the list of rows of ``data``, a ``kind`` table read from ``path``.
 
     ``columns`` is the header, or for a table as wide as its data a function
-    of the header's width that gives it.  ``parse`` takes every row at once,
-    which keeps per-row Python work out of reading a large bank.  A row
-    narrower or wider than the header, one the csv module cannot read, and
-    the first row that ``parse`` raises ``ValueError`` for on its own are
-    refused with the path and line.
+    of the header's width that gives it.  The schema line and the header are
+    checked first.  ``parse`` takes every row at once, which keeps per-row
+    Python work out of reading a large bank.  A row narrower or wider than
+    the header, one the csv module cannot read, and the first row that
+    ``parse`` raises ``ValueError`` for on its own are refused with the path
+    and line.
     """
-    with open(path, newline="") as fh:
-        schema, expected = fh.readline().strip(), f"# schema: {SCHEMA_VERSIONS[kind]}"
-        if schema != expected:
-            raise ValueError(f"{path}: line 1: expected {expected!r}, found {schema!r}")
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        expected = list(columns(len(header)) if callable(columns) else columns)
-        if header != expected:
-            pairs = enumerate(itertools.zip_longest(header, expected), 1)
-            i, got, want = next((i, got, want) for i, (got, want) in pairs if got != want)
-            raise ValueError(f"{path}: line 2: header column {i} is {got!r}, expected {want!r}")
-        try:
-            rows = list(reader)
-        except csv.Error as err:
-            raise ValueError(f"{path}: line {reader.line_num + 1}: {err}") from None
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise ValueError(f"{path}: line {line}: not UTF-8 text ({err.reason})") from None
+    fh = StringIO(text, newline="")
+    schema, expected = fh.readline().strip(), f"# schema: {SCHEMA_VERSIONS[kind]}"
+    if schema != expected:
+        raise ValueError(f"{path}: line 1: expected {expected!r}, found {schema!r}")
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    expected = list(columns(len(header)) if callable(columns) else columns)
+    if header != expected:
+        pairs = enumerate(itertools.zip_longest(header, expected), 1)
+        i, got, want = next((i, got, want) for i, (got, want) in pairs if got != want)
+        raise ValueError(f"{path}: line 2: header column {i} is {got!r}, expected {want!r}")
+    try:
+        rows = list(reader)
+    except csv.Error as err:
+        raise ValueError(f"{path}: line {reader.line_num + 1}: {err}") from None
     if set(map(len, rows)) <= {len(header)}:
         try:
             return parse(rows)
@@ -341,12 +349,63 @@ def load_manifest(directory: Path, verify: bool = True) -> dict:
     directory = Path(directory)
     with open(directory / "manifest.json") as fh:
         payload = json.load(fh)
+    if not (isinstance(payload, dict) and isinstance(payload.get("checksums", {}), dict)):
+        raise ValueError(f"{directory / 'manifest.json'}: expected a JSON object whose "
+                         f"checksums, if any, are an object")
     if verify:
-        for name, expected in payload.get("checksums", {}).items():
-            actual = sha256_file(directory / name)
-            if actual != expected:
-                raise ValueError(f"checksum mismatch for {name}: {actual} != {expected}")
+        _check_unread(directory, payload, set())
     return payload
+
+
+def _read_checked(path: Path, expected: str | None) -> bytes:
+    """The bytes of ``path``, read once, after their SHA-256 matches ``expected``, the manifest's."""
+    data = path.read_bytes()
+    actual = hashlib.sha256(data).hexdigest()
+    if actual != expected:
+        raise ValueError(f"{path}: checksum mismatch: the file hashes to {actual}, "
+                         f"the manifest records {expected}")
+    return data
+
+
+def _check_unread(directory: Path, manifest: dict, read: set[str]) -> None:
+    """Check every file the manifest lists but ``read`` does not name."""
+    for name, expected in manifest.get("checksums", {}).items():
+        if name not in read:
+            _read_checked(directory / name, expected)
+
+
+_NPY_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _npy(path: Path, data: bytes, headers: dict) -> np.ndarray:
+    """The array that ``.npy`` bytes hold, as a read-only view of ``data``.
+
+    ``headers`` keeps the (shape, fortran_order, dtype) of each distinct
+    header, so the shards of a bank, which share a few, parse each only once.
+    """
+    # the magic string, the version, then the header's length in 2 (v1) or 4 (v2) bytes
+    length = 2 if data[6:7] == b"\x01" else 4
+    start = 8 + length + int.from_bytes(data[8:8 + length], "little")
+    head = data[:start]
+    if head not in headers:
+        fh = BytesIO(head)
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version not in _NPY_READERS:
+                raise ValueError(f".npy format version {version} is not read")
+            headers[head] = _NPY_READERS[version](fh)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
+    shape, fortran_order, dtype = headers[head]
+    if dtype.kind not in "fiu":
+        raise ValueError(f"{path}: holds {dtype}, not real numbers")
+    count = math.prod(shape)
+    if len(data) - start != count * dtype.itemsize:
+        raise ValueError(f"{path}: {len(data) - start} bytes of data, but a {shape} array "
+                         f"of {dtype} takes {count * dtype.itemsize}")
+    array = np.frombuffer(data, dtype, count, start)
+    return array.reshape(shape, order="F" if fortran_order else "C")
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +425,8 @@ _PARAM_COLUMNS = [
     "importation_rate",
     "population_proposal_mass",
 ]
+_PARAM_DTYPE = np.dtype([(name, np.int64 if name in ("sim_id", "population") else np.float64)
+                         for name in _PARAM_COLUMNS])
 
 
 def write_bank_shard(
@@ -407,30 +468,126 @@ def write_bank_shard(
     }
 
 
-def load_simulation_bank(directory: Path) -> tuple[SimulationBank, dict]:
-    """Assemble the bank from its shards, in shard order; returns (bank, manifest)."""
-    directory = Path(directory)
-    manifest = load_manifest(directory)
-    shards = sorted(manifest["shards"], key=lambda s: s["index"])
-    populations, masses, eq_parts, traj_parts = [], [], [], {}
+def _param_rows(lines: list[str]) -> np.ndarray:
+    """Params rows, one a line, as a ``_PARAM_DTYPE`` array; a blank line is refused."""
+    rows = np.loadtxt(lines, _PARAM_DTYPE, comments=None, delimiter=",", ndmin=1) if lines \
+        else np.empty(0, _PARAM_DTYPE)
+    if rows.size != len(lines):  # np.loadtxt skips blank lines
+        raise ValueError("a blank line")
+    return rows
+
+
+def _read_params(path: Path, data: bytes) -> np.ndarray:
+    """A params table's rows as a ``_PARAM_DTYPE`` array.
+
+    ``_read_table`` checks the schema line and the header, then one
+    ``np.loadtxt`` call converts every row, checking its width and each
+    column's type.  If it refuses a row, ``_read_table`` reads the table
+    again to name the line at fault.
+    """
+    parts = data.split(b"\n", 2)  # the schema line, the header and the rows
+    body = parts[2] if len(parts) == 3 else b""
+    _read_table(path, data[:len(data) - len(body)], "params", _PARAM_COLUMNS, lambda rows: None)
+    try:
+        return _param_rows(body.decode().splitlines())
+    except ValueError:
+        return _read_table(path, data, "params", _PARAM_COLUMNS,
+                           lambda rows: _param_rows([",".join(row) for row in rows]))
+
+
+def _bank_shards(directory: Path, manifest: dict) -> list[dict]:
+    """The manifest's shards in index order, after they check as one v1 bank.
+
+    Shards 0 to n-1 hold simulations 0 to j-1 in turn, at least one each,
+    and name the same kinds of file, each with a checksum.
+    """
+    where = directory / "manifest.json"
+    if manifest.get("schema") != SCHEMA_VERSIONS["bank"]:
+        raise ValueError(f"{where}: schema is {manifest.get('schema')!r}, "
+                         f"expected {SCHEMA_VERSIONS['bank']!r}")
+    shards = manifest.get("shards")
+    if not (isinstance(shards, list) and shards and all(
+            isinstance(s, dict) and isinstance(s.get("files"), dict)
+            and all(_has_type(s.get(key), int) for key in ("index", "first_sim_id", "j"))
+            for s in shards)):
+        raise ValueError(f"{where}: needs a list of shards, each with an integer index, "
+                         f"first_sim_id and j, and its files")
+    shards = sorted(shards, key=lambda s: s["index"])
+    if [s["index"] for s in shards] != list(range(len(shards))):
+        raise ValueError(f"{where}: shard indices are {[s['index'] for s in shards]}, "
+                         f"expected 0 to {len(shards) - 1}")
+    kinds = set(shards[0]["files"])
+    if not {"params", "equilibrium"} <= kinds or not all(
+            k.startswith("traj_") for k in kinds - {"params", "equilibrium"}):
+        raise ValueError(f"{where}: shard 0: files {sorted(kinds)}, expected params, "
+                         f"equilibrium and traj_<scenario> ones")
+    names, scenarios = manifest.get("scenarios"), sorted(k[5:] for k in kinds if k[:5] == "traj_")
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
+            and sorted(names) == scenarios):
+        raise ValueError(f"{where}: scenarios are {names!r}, but the shards hold the "
+                         f"trajectories of {scenarios}")
+    held = 0
     for shard in shards:
-        # columns 1 and 5 of _PARAM_COLUMNS; the others are not read back
-        population, mass = _read_table(
-            directory / shard["files"]["params"], "params", _PARAM_COLUMNS,
-            lambda rows: (np.array([int(row[1]) for row in rows], dtype=np.int64),
-                          np.array([float(row[5]) for row in rows])))
-        populations.append(population)
-        masses.append(mass)
-        eq_parts.append(np.load(directory / shard["files"]["equilibrium"]))
-        for key, fname in shard["files"].items():
-            if key.startswith("traj_"):
-                traj_parts.setdefault(key[5:], []).append(np.load(directory / fname))
-    bank = SimulationBank(
-        populations=np.concatenate(populations),
-        population_proposal_mass=np.concatenate(masses),
-        equilibrium_prevalence=np.concatenate(eq_parts),
-        trajectories={name: np.concatenate(parts) for name, parts in traj_parts.items()},
-    )
+        name = f"{where}: shard {shard['index']}"
+        if shard["first_sim_id"] != held:
+            raise ValueError(f"{name}: first_sim_id is {shard['first_sim_id']}, but the "
+                             f"shards before it hold {held} simulations")
+        if shard["j"] < 1:
+            raise ValueError(f"{name}: j is {shard['j']}, but a shard holds at least one")
+        if set(shard["files"]) != kinds:
+            raise ValueError(f"{name}: files {sorted(shard['files'])}, but shard 0 "
+                             f"names {sorted(kinds)}")
+        unlisted = [f for f in shard["files"].values() if f not in manifest.get("checksums", {})]
+        if unlisted:
+            raise ValueError(f"{name}: {unlisted[0]} has no checksum")
+        held += shard["j"]
+    if manifest.get("j") != held:
+        raise ValueError(f"{where}: j is {manifest.get('j')!r}, but the shards hold {held}")
+    return shards
+
+
+def load_simulation_bank(directory: Path) -> tuple[SimulationBank, dict]:
+    """Assemble the bank from its shards, in shard order; returns (bank, manifest).
+
+    Each file the manifest lists is read once.  A shard's files are checked
+    against their checksums and decoded from the same bytes into arrays of
+    the whole bank; the other files are only checked.
+    """
+    directory = Path(directory)
+    manifest = load_manifest(directory, verify=False)
+    shards = _bank_shards(directory, manifest)
+    j = shards[-1]["first_sim_id"] + shards[-1]["j"]
+    populations, masses, equilibrium = np.empty(j, np.int64), np.empty(j), np.empty(j)
+    trajectories, headers, read = {}, {}, set()
+    for shard in shards:
+        start, stop = shard["first_sim_id"], shard["first_sim_id"] + shard["j"]
+        for key, name in shard["files"].items():
+            path = directory / name
+            data = _read_checked(path, manifest["checksums"][name])
+            read.add(name)
+            if key == "params":
+                rows = _read_params(path, data)
+                if rows.size != shard["j"]:
+                    raise ValueError(f"{path}: {rows.size} rows, but shard {shard['index']} "
+                                     f"holds {shard['j']} simulations")
+                wrong = np.flatnonzero(rows["sim_id"] != np.arange(start, stop))
+                if wrong.size:
+                    raise ValueError(f"{path}: line {wrong[0] + 3}: sim_id is "
+                                     f"{rows['sim_id'][wrong[0]]}, expected {start + wrong[0]}")
+                populations[start:stop] = rows["population"]
+                masses[start:stop] = rows["population_proposal_mass"]
+            else:
+                array = _npy(path, data, headers)
+                if key != "equilibrium" and key[5:] not in trajectories:  # as wide as in shard 0
+                    trajectories[key[5:]] = np.empty((j,) + array.shape[1:2])
+                target = equilibrium if key == "equilibrium" else trajectories[key[5:]]
+                if array.shape != (shard["j"],) + target.shape[1:]:
+                    raise ValueError(f"{path}: shape {array.shape}, but shard {shard['index']} "
+                                     f"needs {(shard['j'],) + target.shape[1:]}")
+                target[start:stop] = array
+    _check_unread(directory, manifest, read)
+    bank = SimulationBank(populations=populations, population_proposal_mass=masses,
+                          equilibrium_prevalence=equilibrium, trajectories=trajectories)
     return bank, manifest
 
 
@@ -455,11 +612,13 @@ def save_pixel_posteriors(path: Path, pixels: Sequence[PixelPosterior]) -> None:
 
 
 def load_pixel_posteriors(path: Path) -> list[PixelPosterior]:
-    return _read_table(Path(path), "pixels", lambda width: _pixel_columns(width - 3), lambda rows: [
-        PixelPosterior(pixel_id=row[0], country=row[1], population=float(row[2]),
-                       samples=np.array([float(v) for v in row[3:]]))
-        for row in rows
-    ])
+    path = Path(path)
+    return _read_table(
+        path, path.read_bytes(), "pixels", lambda width: _pixel_columns(width - 3), lambda rows: [
+            PixelPosterior(pixel_id=row[0], country=row[1], population=float(row[2]),
+                           samples=np.array([float(v) for v in row[3:]]))
+            for row in rows
+        ])
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +663,16 @@ def write_excluded_pixels(path: Path, excluded: Sequence[str]) -> None:
 
 
 def load_weights(directory: Path) -> list[PixelWeights]:
+    """The weights that ``save_weights`` wrote, each file read once and checked against the
+    directory's manifest; the arrays are read-only."""
     directory = Path(directory)
-    indices = np.load(directory / "indices.npy")
-    values = np.load(directory / "values.npy")
-    offsets = np.load(directory / "offsets.npy")
+    manifest = load_manifest(directory, verify=False)
+    names = ("indices.npy", "values.npy", "offsets.npy", "units.csv")
+    checksums = manifest.get("checksums", {})
+    data = {name: _read_checked(directory / name, checksums.get(name)) for name in names}
+    _check_unread(directory, manifest, set(names))
+    headers = {}
+    indices, values, offsets = (_npy(directory / name, data[name], headers) for name in names[:3])
     if values.size != indices.size:
         raise ValueError(f"{directory / 'values.npy'}: {values.size} weights, but "
                          f"indices.npy holds {indices.size}")
@@ -515,14 +680,15 @@ def load_weights(directory: Path) -> list[PixelWeights]:
             or np.any(np.diff(offsets) <= 0)):
         raise ValueError(f"{directory / 'offsets.npy'}: offsets must start at 0, increase "
                          f"strictly and end at {indices.size}, the number of weights")
-    rows = _read_table(directory / "units.csv", "weights", _UNIT_COLUMNS, lambda rows: [
+    units = directory / "units.csv"
+    rows = _read_table(units, data["units.csv"], "weights", _UNIT_COLUMNS, lambda rows: [
         dict(unit_id=row[0], bank_size=int(row[4]), ess=float(row[5]),
              dropped_map_fraction=float(row[6]), clamp_count=int(row[7]),
              low_ess=bool(int(row[8])))
         for row in rows
     ])
     if len(rows) != offsets.size - 1:
-        raise ValueError(f"{directory / 'units.csv'}: {len(rows)} units, but offsets.npy "
+        raise ValueError(f"{units}: {len(rows)} units, but offsets.npy "
                          f"holds {offsets.size - 1}")
     return [PixelWeights(indices=indices[start:stop], values=values[start:stop], **row)
             for row, start, stop in zip(rows, offsets[:-1], offsets[1:])]

@@ -172,6 +172,8 @@ class SimulationBank:
         for name, traj in self.trajectories.items():
             if traj.ndim != 2 or traj.shape[0] != j:
                 raise ValueError(f"trajectory {name!r} must be (J, years+1)")
+            if not np.all((traj >= 0) & (traj <= 1)):
+                raise ValueError(f"trajectory {name!r}: prevalences must lie in [0, 1]")
 
     @property
     def size(self) -> int:

@@ -22,6 +22,7 @@ from maplink.pipeline import (
 )
 from maplink.proposal import ParameterVector, TabulatedProposal
 from maplink.toy import ToyExperimentReport, summarize_reports
+from reference import reference_load_bank
 
 
 def read_schema_csv(path, kind):
@@ -92,6 +93,7 @@ def test_weights_roundtrip(tmp_path):
             )
         )
     mio.save_weights(tmp_path, units, weights)
+    mio.write_manifest(tmp_path, {"schema": mio.SCHEMA_VERSIONS["weights"]})
     again = mio.load_weights(tmp_path)
     for a, b in zip(weights, again):
         assert a.unit_id == b.unit_id
@@ -584,6 +586,7 @@ def test_cli_project_refuses_weights_of_another_bank(tmp_path, capsys):
         unit_id=units[0].unit_id, bank_size=10, indices=np.array([5, 2]),
         values=np.array([0.5, 0.5]), ess=2.0, dropped_map_fraction=0.0, clamp_count=0,
         low_ess=False)])
+    mio.write_manifest(unordered, {"schema": mio.SCHEMA_VERSIONS["weights"]})
     capsys.readouterr()
 
     for weights_dir, reason in ((weights, "bank of 12 simulations"),
@@ -592,6 +595,14 @@ def test_cli_project_refuses_weights_of_another_bank(tmp_path, capsys):
                      "--weights", str(weights_dir), "--out", str(tmp_path / "s")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: unit p") and reason in err[0]
+
+
+_UNIT_ESS = 5  # the column of ess in units.csv
+
+
+def _refresh_checksums(directory):
+    """Record the current checksums of every file in the manifest of ``directory``."""
+    mio.write_manifest(directory, mio.load_manifest(directory, verify=False))
 
 
 @pytest.mark.parametrize("file, edit", [
@@ -608,11 +619,32 @@ def test_cli_project_refuses_weight_arrays_that_disagree(tmp_path, capsys, file,
     main(["weight", "--config", str(config), "--bank", str(bank_dir),
           "--pixels", str(make_pixel_file(tmp_path)), "--out", str(weights), "--delta", "0.25"])
     edit(weights / file)
+    _refresh_checksums(weights)
     capsys.readouterr()
     assert main(["project", "--config", str(config), "--bank", str(bank_dir),
                  "--weights", str(weights), "--out", str(tmp_path / "s")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {weights / file}: ")
+    assert not (tmp_path / "s").exists()
+
+
+def test_cli_project_refuses_weights_edited_after_weight(tmp_path, capsys):
+    config = write_config(tmp_path)
+    bank_dir = tmp_path / "bank"
+    main(["simulate", "--config", str(config), "--out", str(bank_dir)])
+    weights = tmp_path / "weights"
+    main(["weight", "--config", str(config), "--bank", str(bank_dir),
+          "--pixels", str(make_pixel_file(tmp_path)), "--out", str(weights), "--delta", "0.25"])
+    units = weights / "units.csv"
+    lines = units.read_text().splitlines(True)
+    row = lines[2].split(",")
+    row[_UNIT_ESS] = "123.0"
+    units.write_text("".join(lines[:2] + [",".join(row)] + lines[3:]))
+    capsys.readouterr()
+    assert main(["project", "--config", str(config), "--bank", str(bank_dir),
+                 "--weights", str(weights), "--out", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {units}: checksum mismatch"), err
     assert not (tmp_path / "s").exists()
 
 
@@ -735,7 +767,25 @@ def _shorten_a_params_row(path):
     lines = path.read_bytes().splitlines(True)
     lines[3] = lines[3].rsplit(b",", 1)[0] + b"\r\n"
     path.write_bytes(b"".join(lines))
-    mio.write_manifest(path.parent, mio.load_manifest(path.parent, verify=False))
+    _refresh_checksums(path.parent)
+
+
+def _edit_params_field(column, value):
+    """An edit setting one field of the first params row, then refreshing the bank's checksums."""
+    def edit(path):
+        lines = path.read_bytes().splitlines(True)
+        fields = lines[2].split(b",")
+        fields[column] = value + (b"\r\n" if fields[column].endswith(b"\r\n") else b"")
+        lines[2] = b",".join(fields)
+        path.write_bytes(b"".join(lines))
+        _refresh_checksums(path.parent)
+    return edit
+
+
+def _rename_the_ess_column(path):
+    """Rename the ``ess`` column of ``units.csv``, then refresh the weights' checksums."""
+    path.write_bytes(path.read_bytes().replace(b",ess,", b",ESS,", 1))
+    _refresh_checksums(path.parent)
 
 
 @pytest.mark.parametrize("command, file, edit", [
@@ -743,11 +793,14 @@ def _shorten_a_params_row(path):
     ("weight", "pixels.csv", lambda path: path.write_bytes(path.read_bytes().split(b"\n")[0])),
     ("weight", "pixels.csv",
      lambda path: path.write_bytes(path.read_bytes().replace(b",KE,", b",KE,x", 1))),
-    ("project", "weights/units.csv",
-     lambda path: path.write_bytes(path.read_bytes().replace(b",ess,", b",ESS,", 1))),
+    ("weight", "pixels.csv",
+     lambda path: path.write_bytes(path.read_bytes().replace(b",KE,", b",K\xff,", 1))),
+    ("project", "weights/units.csv", _rename_the_ess_column),
     ("weight", "bank/params_s0000.csv", _shorten_a_params_row),
-], ids=["pixels-blank-line", "pixels-schema-only", "pixels-not-a-number",
-        "units-renamed-column", "params-short-row"])
+    ("weight", "bank/params_s0000.csv", _edit_params_field(0, b"-7")),
+    ("weight", "bank/params_s0000.csv", _edit_params_field(2, b"abc")),
+], ids=["pixels-blank-line", "pixels-schema-only", "pixels-not-a-number", "pixels-not-utf8",
+        "units-renamed-column", "params-short-row", "params-sim-id", "params-not-a-number"])
 def test_cli_refuses_a_malformed_table_naming_file_and_line(tmp_path, capsys, command, file,
                                                             edit):
     config = write_config(tmp_path)
@@ -766,6 +819,117 @@ def test_cli_refuses_a_malformed_table_naming_file_and_line(tmp_path, capsys, co
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / file}: line "), err
     assert not out.exists()
+
+
+# --- reading a bank -------------------------------------------------------------
+
+@pytest.mark.parametrize("overrides", [
+    {"j_simulations": 23, "simulate_shard_size": 5, "pilot_simulations": 2},
+    {"j_simulations": 1},
+], ids=["uneven-last-shard", "one-simulation"])
+def test_load_simulation_bank_matches_the_reference(tmp_path, overrides):
+    bank_dir = tmp_path / "bank"
+    assert main(["simulate", "--config", str(write_config(tmp_path, **overrides)),
+                 "--out", str(bank_dir)]) == 0
+    bank, manifest = mio.load_simulation_bank(bank_dir)
+    reference = reference_load_bank(bank_dir)
+    assert manifest == json.loads((bank_dir / "manifest.json").read_text())
+    assert bank.size == overrides["j_simulations"]
+    for name in ("populations", "population_proposal_mass", "equilibrium_prevalence"):
+        got, want = getattr(bank, name), getattr(reference, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert list(bank.trajectories) == list(reference.trajectories) == ["aMDA65", "none"]
+    for name, want in reference.trajectories.items():
+        got = bank.trajectories[name]
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _edit_manifest(change):
+    """An edit applying ``change`` to the bank's manifest payload, checksums kept."""
+    def edit(bank_dir):
+        path = bank_dir / "manifest.json"
+        payload = json.loads(path.read_text())
+        change(payload)
+        path.write_text(json.dumps(payload))
+    return edit
+
+
+def _rewrite_shard_file(name, change):
+    """An edit replacing one shard file by ``change`` of it, then refreshing the checksums."""
+    def edit(bank_dir):
+        change(bank_dir / name)
+        _refresh_checksums(bank_dir)
+    return edit
+
+
+def _set_item(key, value, shard=None):
+    def change(payload):
+        (payload if shard is None else payload["shards"][shard])[key] = value
+    return change
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_edit_manifest(_set_item("schema", "maplink/bank v2")), "schema"),
+    (_edit_manifest(lambda payload: payload["checksums"].pop("equilibrium_s0001.npy")),
+     "shard 1: equilibrium_s0001.npy has no checksum"),
+    (_edit_manifest(_set_item("index", 5, shard=1)), "shard indices are [0, 2, 5]"),
+    (_edit_manifest(_set_item("first_sim_id", 5, shard=1)), "shard 1: first_sim_id is 5"),
+    (_edit_manifest(_set_item("j", 11)), "j is 11, but the shards hold 10"),
+    (_edit_manifest(lambda payload: payload.pop("scenarios")), "scenarios are None"),
+    (_edit_manifest(lambda payload: payload["shards"][1].pop("files")), "files"),
+    (_edit_manifest(lambda payload: payload["shards"][2]["files"].pop("traj_none")),
+     "shard 2: files"),
+    (_rewrite_shard_file("equilibrium_s0001.npy", lambda path: np.save(path, np.load(path)[:-1])),
+     "equilibrium_s0001.npy: shape (3,), but shard 1 needs (4,)"),
+    (_rewrite_shard_file("params_s0001.csv", lambda path: path.write_bytes(
+        b"".join(path.read_bytes().splitlines(True)[:-1]))),
+     "params_s0001.csv: 3 rows, but shard 1 holds 4"),
+    (_rewrite_shard_file("equilibrium_s0001.npy", lambda path: np.save(
+        path, np.load(path).astype(object), allow_pickle=True)), "s0001.npy: holds object"),
+    (_rewrite_shard_file("equilibrium_s0001.npy", lambda path: np.save(
+        path, np.load(path).astype(str))), "s0001.npy: holds <U"),
+    (_rewrite_shard_file("equilibrium_s0001.npy", lambda path: path.write_bytes(
+        path.read_bytes()[:-8])), "s0001.npy: 24 bytes of data, but a (4,) array"),
+    (_rewrite_shard_file("equilibrium_s0001.npy", lambda path: path.write_bytes(b"an array")),
+     "s0001.npy: the magic string is not correct"),
+], ids=["schema", "unlisted-file", "indices-gap", "sim-ids-gap", "j-sum", "no-scenarios",
+        "no-files", "files-differ", "array-rows", "params-rows", "array-of-objects",
+        "array-of-strings", "array-truncated", "not-an-array"])
+def test_cli_weight_refuses_a_malformed_bank_naming_directory_and_shard(tmp_path, capsys, edit,
+                                                                        named):
+    config = write_config(tmp_path)
+    bank_dir = tmp_path / "bank"
+    main(["simulate", "--config", str(config), "--out", str(bank_dir)])
+    edit(bank_dir)
+    capsys.readouterr()
+    out = tmp_path / "weights"
+    assert main(["weight", "--config", str(config), "--bank", str(bank_dir),
+                 "--pixels", str(make_pixel_file(tmp_path)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bank_dir}/") and named in err[0], err
+    assert not out.exists()
+
+
+def test_cli_project_refuses_a_trajectory_that_is_not_a_prevalence(tmp_path, capsys):
+    config = write_config(tmp_path)
+    bank_dir = tmp_path / "bank"
+    main(["simulate", "--config", str(config), "--out", str(bank_dir)])
+    weights = tmp_path / "weights"
+    main(["weight", "--config", str(config), "--bank", str(bank_dir),
+          "--pixels", str(make_pixel_file(tmp_path)), "--out", str(weights), "--delta", "0.25"])
+
+    def put_nan(path):
+        traj = np.load(path)
+        traj[1, 2] = np.nan
+        np.save(path, traj)
+
+    _rewrite_shard_file("traj_aMDA65_s0001.npy", put_nan)(bank_dir)
+    capsys.readouterr()
+    assert main(["project", "--config", str(config), "--bank", str(bank_dir),
+                 "--weights", str(weights), "--out", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: trajectory 'aMDA65': "), err
+    assert not (tmp_path / "s").exists()
 
 
 def test_cli_toy_validate_writes_table(tmp_path):
@@ -800,3 +964,12 @@ def test_cli_inspect_reports_and_verifies(tmp_path, capsys):
     assert "maplink/bank v1" in out
     (bank_dir / "params_s0000.csv").write_text("tampered")
     assert main(["inspect", str(bank_dir)]) == 1
+
+
+@pytest.mark.parametrize("manifest", ["[1, 2]", '{"checksums": ["a.csv"]}'],
+                         ids=["list", "checksums-list"])
+def test_cli_inspect_refuses_a_manifest_that_is_not_an_object(tmp_path, capsys, manifest):
+    (tmp_path / "manifest.json").write_text(manifest)
+    assert main(["inspect", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / 'manifest.json'}: "), err

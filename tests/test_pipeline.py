@@ -137,6 +137,16 @@ def test_simulation_bank_rejects_nan_prevalence():
         dataclasses.replace(bank, equilibrium_prevalence=prevalence)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.01, 1.01])
+def test_simulation_bank_rejects_a_trajectory_value_that_is_not_a_prevalence(value):
+    traj = np.full((10, 3), 0.2)
+    make_bank(j=10, trajectories={"none": traj, "aMDA65": traj})
+    bad = traj.copy()
+    bad[4, 1] = value
+    with pytest.raises(ValueError, match="^trajectory 'aMDA65': "):
+        make_bank(j=10, trajectories={"none": traj, "aMDA65": bad})
+
+
 # --- weighting -----------------------------------------------------------------
 
 def test_weight_pixel_matching_marginal_near_uniform():
