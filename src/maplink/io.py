@@ -483,7 +483,7 @@ def _read_params(path: Path, data: bytes) -> np.ndarray:
     ``_read_table`` checks the schema line and the header, then one
     ``np.loadtxt`` call converts every row, checking its width and each
     column's type.  If it refuses a row, ``_read_table`` reads the table
-    again to name the line at fault.
+    again to name the line at fault, and ``_param_fields`` the column.
     """
     parts = data.split(b"\n", 2)  # the schema line, the header and the rows
     body = parts[2] if len(parts) == 3 else b""
@@ -491,8 +491,26 @@ def _read_params(path: Path, data: bytes) -> np.ndarray:
     try:
         return _param_rows(body.decode().splitlines())
     except ValueError:
-        return _read_table(path, data, "params", _PARAM_COLUMNS,
-                           lambda rows: _param_rows([",".join(row) for row in rows]))
+        return _read_table(path, data, "params", _PARAM_COLUMNS, _param_fields)
+
+
+def _param_fields(rows: list[list[str]]) -> np.ndarray:
+    """``_param_rows`` of rows of fields.
+
+    When they do not convert, the first field of the first row that does
+    not convert on its own is refused naming its column.
+    """
+    try:
+        return _param_rows([",".join(row) for row in rows])
+    except ValueError:
+        row = rows[0]
+        for i, name in enumerate(_PARAM_COLUMNS):
+            try:  # the field alone, the others replaced by a zero every column reads
+                _param_rows([",".join(field if k == i else "0" for k, field in enumerate(row))])
+            except ValueError:
+                kind = "an integer" if _PARAM_DTYPE[name].kind == "i" else "a number"
+                raise ValueError(f"column {name}: {row[i]!r} is not {kind}") from None
+        raise
 
 
 def _bank_shards(directory: Path, manifest: dict) -> list[dict]:

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .proposal import population_prior_density
-from .reweight import PreparedErnd, apply_ernd, ess, prepare_ernd
+from .reweight import PreparedErnd, apply_ernd, ess, prepare_ernd, stable_order
 
 if TYPE_CHECKING:  # io imports this module
     from .io import RunConfig
@@ -190,9 +190,8 @@ class SimulationBank:
     def trajectory_order(self, scenario: str) -> np.ndarray:
         """Stable argsort of each year's trajectory column of ``scenario``, one row per year."""
         if scenario not in self._trajectory_orders:
-            self._trajectory_orders[scenario] = np.argsort(
-                self.trajectories[scenario].T, axis=1, kind="stable"
-            )
+            columns = np.ascontiguousarray(self.trajectories[scenario].T)
+            self._trajectory_orders[scenario] = np.stack([stable_order(c) for c in columns])
         return self._trajectory_orders[scenario]
 
 

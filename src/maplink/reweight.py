@@ -44,6 +44,7 @@ __all__ = [
     "ks_distance",
     "prepare_ernd",
     "select_delta",
+    "stable_order",
 ]
 
 #: Window width returned when every simulated prevalence coincides and the
@@ -117,6 +118,36 @@ def ess(weights) -> float:
 
 
 # ---------------------------------------------------------------------------
+# The stable order
+# ---------------------------------------------------------------------------
+
+def stable_order(values) -> np.ndarray:
+    """Exactly ``np.argsort(values, kind="stable")`` for a 1-d array with no NaN.
+
+    numpy's unstable argsort is vectorised and several times faster than its
+    stable one.  It leaves each run of equal values (ties, and -0.0 with 0.0)
+    in an arbitrary order, so when there are ties one int64 sort of the key
+    ``run * n + index`` puts every run in index order.  Each run keeps its
+    positions, so taking ``run * n`` off again leaves the index.
+    """
+    values = np.asarray(values)
+    order = np.argsort(values)
+    ordered = values[order]
+    tied = ordered[1:] == ordered[:-1]
+    if not tied.any():
+        return order
+    n = order.size
+    base = np.empty(n, dtype=np.int64)  # run * n, the run counted in sorted position
+    base[0] = 0
+    np.cumsum(~tied, out=base[1:])
+    base *= n
+    key = base + order
+    key.sort()
+    key -= base
+    return key
+
+
+# ---------------------------------------------------------------------------
 # Empirical cdfs and distances between them
 # ---------------------------------------------------------------------------
 
@@ -134,18 +165,37 @@ class StepCdf:
 
     @classmethod
     def from_samples(cls, values, weights=None) -> "StepCdf":
-        """Weighted empirical cdf; duplicate values are merged into one jump."""
+        """Weighted empirical cdf; duplicate values are merged into one jump.
+
+        ``values`` must be a non-empty 1-d array without NaN, and ``weights``,
+        if given, one finite non-negative weight per value with a positive sum.
+        """
         values = np.asarray(values, dtype=float)
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError("cdf samples must be a non-empty 1-d array")
+        nan = np.isnan(values)
+        if nan.any():
+            raise ValueError(f"cdf sample {int(nan.argmax())} is nan")
         if weights is None:
             weights = np.full(values.size, 1.0 / values.size)
         else:
             weights = np.asarray(weights, dtype=float)
+            if weights.shape != values.shape:
+                raise ValueError(f"cdf weights must be one per sample: {weights.shape} "
+                                 f"weights for {values.size} samples")
+            if not (weights >= 0.0).all() or not np.isfinite(weights).all():
+                raise ValueError("cdf weights must be finite and non-negative")
             total = weights.sum()
             if total <= 0.0:
                 raise DegenerateWeightsError("cdf of an all-zero weight vector")
             weights = weights / total
-        order = np.argsort(values, kind="stable")
-        points, inverse = np.unique(values[order], return_inverse=True)
+        order = stable_order(values)
+        ordered = values[order]
+        new = np.empty(ordered.size, dtype=bool)
+        new[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        inverse = np.cumsum(new) - 1  # each sorted value's jump, as np.unique's inverse
+        points = ordered[new]
         mass = np.bincount(inverse, weights=weights[order], minlength=points.size)
         return cls(points=points, cum=np.cumsum(mass))
 
@@ -167,26 +217,59 @@ class StepCdf:
         return padded_below[idx] + padded_cum[idx] * (x - padded_pts[idx])
 
 
+def _on_union(first: StepCdf, second: StepCdf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The union of both cdfs' jump points, ascending, and each cdf's value there.
+
+    Each cdf's points are one sorted run, so the stable argsort of the two
+    runs end to end is a single timsort merge.  A point in both runs comes
+    first from ``first``, then from ``second``; each cdf is read at the last
+    copy, where its count of points up to and including the value is whole.
+    """
+    both = np.concatenate((first.points, second.points))
+    order = np.argsort(both, kind="stable")
+    merged = both[order]
+    in_first = np.cumsum(order < first.points.size)
+    in_second = np.arange(1, order.size + 1) - in_first
+    last = np.empty(merged.size, dtype=bool)
+    last[-1] = True
+    np.not_equal(merged[1:], merged[:-1], out=last[:-1])
+    first_cum = np.concatenate(([0.0], first.cum))
+    second_cum = np.concatenate(([0.0], second.cum))
+    return merged[last], first_cum[in_first[last]], second_cum[in_second[last]]
+
+
 def ks_distance(map_cdf: StepCdf, weighted_sim_cdf: StepCdf) -> float:
     """Largest vertical distance between two step cdfs."""
-    grid = np.union1d(map_cdf.points, weighted_sim_cdf.points)
-    return float(np.max(np.abs(map_cdf(grid) - weighted_sim_cdf(grid))))
+    _, f, h = _on_union(map_cdf, weighted_sim_cdf)
+    return float(np.max(np.abs(f - h)))
 
 
 def integrated_squared_distance(
     map_cdf: StepCdf, weighted_sim_cdf: StepCdf, lo: float = 0.0, hi: float = 1.0
 ) -> float:
     """Integral of (F - H)^2 over [lo, hi], exact for step functions."""
-    inner = np.union1d(map_cdf.points, weighted_sim_cdf.points)
-    inner = inner[(inner > lo) & (inner < hi)]
-    breaks = np.concatenate(([lo], inner, [hi]))
-    heights = map_cdf(breaks[:-1]) - weighted_sim_cdf(breaks[:-1])
+    grid, f, h = _on_union(map_cdf, weighted_sim_cdf)
+    inner = (grid > lo) & (grid < hi)
+    breaks = np.concatenate(([lo], grid[inner], [hi]))
+    heights = np.concatenate((map_cdf([lo]) - weighted_sim_cdf([lo]), f[inner] - h[inner]))
     return float(np.sum(heights * heights * np.diff(breaks)))
 
 
 # ---------------------------------------------------------------------------
 # Window width selection
 # ---------------------------------------------------------------------------
+
+def _prevalences(sims) -> np.ndarray:
+    """``sims`` as a 1-d float array, after checking each is a prevalence in [0, 1]."""
+    values = np.asarray(sims, dtype=float)
+    if values.ndim != 1:
+        raise ValueError("simulated prevalences must be a 1-d array")
+    bad = ~((values >= 0.0) & (values <= 1.0))  # NaN fails both comparisons
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"simulated prevalence {i} is {float(values[i])}, not in [0, 1]")
+    return values
+
 
 def select_delta(sims) -> float:
     """Smallest window width giving every simulation at least 3 neighbours.
@@ -202,19 +285,19 @@ def select_delta(sims) -> float:
     not depend on delta, and the map mass the windows miss is recorded as
     ``WeightVector.dropped_map_fraction``.
     """
-    p = np.sort(np.asarray(sims, dtype=float))
+    p = np.sort(_prevalences(sims))
     if p.size < 3:
         raise ValueError("need at least 3 simulated prevalences to choose delta")
     inf = np.inf
-    left1 = np.concatenate(([inf], p[1:] - p[:-1]))
-    left2 = np.concatenate(([inf, inf], p[2:] - p[:-2]))
-    right1 = np.concatenate((p[1:] - p[:-1], [inf]))
-    right2 = np.concatenate((p[2:] - p[:-2], [inf, inf]))
-    # distance to the second-nearest other point: second smallest of the
-    # two nearest on each side
-    candidates = np.stack([left1, left2, right1, right2])
-    candidates.sort(axis=0)
-    second_nearest = candidates[1]
+    gap1 = p[1:] - p[:-1]
+    gap2 = p[2:] - p[:-2]
+    left1 = np.concatenate(([inf], gap1))
+    left2 = np.concatenate(([inf, inf], gap2))
+    right1 = np.concatenate((gap1, [inf]))
+    right2 = np.concatenate((gap2, [inf, inf]))
+    # distance to the second-nearest other point: the second smallest of the
+    # two nearest on each side, where left1 <= left2 and right1 <= right2
+    second_nearest = np.minimum(np.maximum(left1, right1), np.minimum(left2, right2))
     delta = 2.0 * float(second_nearest.max())
     return DELTA_FALLBACK if delta <= 0.0 else delta
 
@@ -253,12 +336,12 @@ def prepare_ernd(
     equal-width bins on [0, 1] or the bin edges themselves, which must
     increase strictly from 0 to 1.  Each kind ignores the other's setting.
     """
-    values = np.asarray(sims, dtype=float)
+    values = _prevalences(sims)
     if kind == "distance":
         delta = delta if delta is not None else select_delta(values)
         if not delta > 0.0:
             raise ValueError("delta must be positive")
-        order = np.argsort(values, kind="stable")
+        order = stable_order(values)
         sorted_values = values[order]
         lo, hi = _window_bounds(sorted_values, sorted_values, delta)
         return PreparedErnd(kind, values, (order, sorted_values, lo, hi), delta=delta)

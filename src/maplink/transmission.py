@@ -343,7 +343,7 @@ def step(
     died = (state.age >= MAX_AGE_MONTHS).nonzero()[0]
     if n_hazard:
         hazard = np.sort(rng.choice(n, n_hazard, replace=False, shuffle=False))
-        died = np.union1d(died, hazard) if died.size else hazard
+        died = np.unique(np.concatenate((died, hazard))) if died.size else hazard
     if died.size:
         state.age[died] = 0.0
         state.bite_risk[died] = rng.gamma(

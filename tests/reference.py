@@ -2,11 +2,20 @@
 
 import csv
 import json
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
 from maplink.pipeline import SimulationBank
+from maplink.reweight import (
+    DELTA_FALLBACK,
+    DegenerateWeightsError,
+    PreparedErnd,
+    _bin_index,
+    _window_bounds,
+)
 
 
 def weighted_quantile(values, weights, levels) -> np.ndarray:
@@ -41,3 +50,135 @@ def reference_load_bank(directory) -> SimulationBank:
         equilibrium_prevalence=np.concatenate(equilibrium),
         trajectories={name: np.concatenate(parts) for name, parts in trajectories.items()},
     )
+
+
+# The cdf, distance, window-width and preparation code of the package before
+# each stable order came from one kernel, kept verbatim to compare against.
+
+@dataclass(frozen=True)
+class StepCdf:
+    """Right-continuous step cdf with jumps at ``points``.
+
+    ``cum[i]`` is the cdf value at and immediately right of ``points[i]``;
+    the function is zero left of ``points[0]`` and ``cum[-1]`` (= 1) from
+    ``points[-1]`` on.
+    """
+
+    points: np.ndarray
+    cum: np.ndarray
+
+    @classmethod
+    def from_samples(cls, values, weights=None) -> "StepCdf":
+        """Weighted empirical cdf; duplicate values are merged into one jump."""
+        values = np.asarray(values, dtype=float)
+        if weights is None:
+            weights = np.full(values.size, 1.0 / values.size)
+        else:
+            weights = np.asarray(weights, dtype=float)
+            total = weights.sum()
+            if total <= 0.0:
+                raise DegenerateWeightsError("cdf of an all-zero weight vector")
+            weights = weights / total
+        order = np.argsort(values, kind="stable")
+        points, inverse = np.unique(values[order], return_inverse=True)
+        mass = np.bincount(inverse, weights=weights[order], minlength=points.size)
+        return cls(points=points, cum=np.cumsum(mass))
+
+    def __call__(self, x) -> np.ndarray:
+        idx = np.searchsorted(self.points, np.asarray(x, dtype=float), side="right")
+        padded = np.concatenate(([0.0], self.cum))
+        return padded[idx]
+
+    def integral_to(self, x) -> np.ndarray:
+        """Exact integral of the step function over [points[0] and below, x]."""
+        x = np.asarray(x, dtype=float)
+        # cumulative integral up to each jump point
+        gaps = np.diff(self.points)
+        below = np.concatenate(([0.0], np.cumsum(self.cum[:-1] * gaps)))
+        idx = np.searchsorted(self.points, x, side="right")
+        padded_pts = np.concatenate(([self.points[0] if self.points.size else 0.0], self.points))
+        padded_below = np.concatenate(([0.0], below))
+        padded_cum = np.concatenate(([0.0], self.cum))
+        return padded_below[idx] + padded_cum[idx] * (x - padded_pts[idx])
+
+
+def ks_distance(map_cdf: StepCdf, weighted_sim_cdf: StepCdf) -> float:
+    """Largest vertical distance between two step cdfs."""
+    grid = np.union1d(map_cdf.points, weighted_sim_cdf.points)
+    return float(np.max(np.abs(map_cdf(grid) - weighted_sim_cdf(grid))))
+
+
+def integrated_squared_distance(
+    map_cdf: StepCdf, weighted_sim_cdf: StepCdf, lo: float = 0.0, hi: float = 1.0
+) -> float:
+    """Integral of (F - H)^2 over [lo, hi], exact for step functions."""
+    inner = np.union1d(map_cdf.points, weighted_sim_cdf.points)
+    inner = inner[(inner > lo) & (inner < hi)]
+    breaks = np.concatenate(([lo], inner, [hi]))
+    heights = map_cdf(breaks[:-1]) - weighted_sim_cdf(breaks[:-1])
+    return float(np.sum(heights * heights * np.diff(breaks)))
+
+
+def select_delta(sims) -> float:
+    """Smallest window width giving every simulation at least 3 neighbours.
+
+    For each simulated prevalence ``p_k`` the doubled distances
+    ``2 |p_k - p_j|`` are ranked; the rule returns the largest third-ranked
+    value over k, so that every window of half-width delta/2 contains at
+    least three simulations (counting ``p_k`` itself).
+
+    When all prevalences coincide the rule would return zero, and
+    ``DELTA_FALLBACK`` is returned instead so the window estimators stay
+    well defined.  Every window then holds the whole bank, so the weights do
+    not depend on delta, and the map mass the windows miss is recorded as
+    ``WeightVector.dropped_map_fraction``.
+    """
+    p = np.sort(np.asarray(sims, dtype=float))
+    if p.size < 3:
+        raise ValueError("need at least 3 simulated prevalences to choose delta")
+    inf = np.inf
+    left1 = np.concatenate(([inf], p[1:] - p[:-1]))
+    left2 = np.concatenate(([inf, inf], p[2:] - p[:-2]))
+    right1 = np.concatenate((p[1:] - p[:-1], [inf]))
+    right2 = np.concatenate((p[2:] - p[:-2], [inf, inf]))
+    # distance to the second-nearest other point: second smallest of the
+    # two nearest on each side
+    candidates = np.stack([left1, left2, right1, right2])
+    candidates.sort(axis=0)
+    second_nearest = candidates[1]
+    delta = 2.0 * float(second_nearest.max())
+    return DELTA_FALLBACK if delta <= 0.0 else delta
+
+
+def prepare_ernd(
+    sims, kind: Literal["distance", "histogram", "discrepancy"],
+    delta: float | None = None, histogram_bins: int | np.ndarray = 100,
+) -> PreparedErnd:
+    """Check a setting and build the ``kind`` estimator's parts that depend on ``sims`` alone.
+
+    ``sims`` is the array of simulated prevalences.  The distance
+    estimator's window width is ``delta``, which must be positive, or for a
+    ``None`` delta the :func:`select_delta` choice.  As for
+    ``numpy.histogram``'s ``bins``, ``histogram_bins`` is a count of
+    equal-width bins on [0, 1] or the bin edges themselves, which must
+    increase strictly from 0 to 1.  Each kind ignores the other's setting.
+    """
+    values = np.asarray(sims, dtype=float)
+    if kind == "distance":
+        delta = delta if delta is not None else select_delta(values)
+        if not delta > 0.0:
+            raise ValueError("delta must be positive")
+        order = np.argsort(values, kind="stable")
+        sorted_values = values[order]
+        lo, hi = _window_bounds(sorted_values, sorted_values, delta)
+        return PreparedErnd(kind, values, (order, sorted_values, lo, hi), delta=delta)
+    if kind == "histogram":
+        edges = (np.linspace(0.0, 1.0, histogram_bins + 1) if np.ndim(histogram_bins) == 0
+                 else np.asarray(histogram_bins, dtype=float))
+        if edges.size < 2 or edges[0] != 0.0 or edges[-1] != 1.0 or np.any(np.diff(edges) <= 0):
+            raise ValueError("histogram_bins edges must increase strictly from 0 to 1")
+        return PreparedErnd(kind, values, (_bin_index(values, edges),), edges=edges)
+    if kind == "discrepancy":
+        return PreparedErnd(kind, values, tuple(
+            np.unique(values, return_inverse=True, return_counts=True)))
+    raise ValueError(f"unknown ERND kind {kind!r}")

@@ -788,21 +788,24 @@ def _rename_the_ess_column(path):
     _refresh_checksums(path.parent)
 
 
-@pytest.mark.parametrize("command, file, edit", [
-    ("weight", "pixels.csv", lambda path: path.write_bytes(path.read_bytes() + b"\n")),
-    ("weight", "pixels.csv", lambda path: path.write_bytes(path.read_bytes().split(b"\n")[0])),
+# `detail` is a further part of the one error line
+@pytest.mark.parametrize("command, file, edit, detail", [
+    ("weight", "pixels.csv", lambda path: path.write_bytes(path.read_bytes() + b"\n"), ""),
+    ("weight", "pixels.csv", lambda path: path.write_bytes(path.read_bytes().split(b"\n")[0]),
+     ""),
     ("weight", "pixels.csv",
-     lambda path: path.write_bytes(path.read_bytes().replace(b",KE,", b",KE,x", 1))),
+     lambda path: path.write_bytes(path.read_bytes().replace(b",KE,", b",KE,x", 1)), ""),
     ("weight", "pixels.csv",
-     lambda path: path.write_bytes(path.read_bytes().replace(b",KE,", b",K\xff,", 1))),
-    ("project", "weights/units.csv", _rename_the_ess_column),
-    ("weight", "bank/params_s0000.csv", _shorten_a_params_row),
-    ("weight", "bank/params_s0000.csv", _edit_params_field(0, b"-7")),
-    ("weight", "bank/params_s0000.csv", _edit_params_field(2, b"abc")),
+     lambda path: path.write_bytes(path.read_bytes().replace(b",KE,", b",K\xff,", 1)), ""),
+    ("project", "weights/units.csv", _rename_the_ess_column, ""),
+    ("weight", "bank/params_s0000.csv", _shorten_a_params_row, ""),
+    ("weight", "bank/params_s0000.csv", _edit_params_field(0, b"-7"), ""),
+    ("weight", "bank/params_s0000.csv", _edit_params_field(2, b"abc"),
+     ": line 3: column vector_host_ratio: 'abc' is not a number"),
 ], ids=["pixels-blank-line", "pixels-schema-only", "pixels-not-a-number", "pixels-not-utf8",
         "units-renamed-column", "params-short-row", "params-sim-id", "params-not-a-number"])
 def test_cli_refuses_a_malformed_table_naming_file_and_line(tmp_path, capsys, command, file,
-                                                            edit):
+                                                            edit, detail):
     config = write_config(tmp_path)
     bank_dir = tmp_path / "bank"
     main(["simulate", "--config", str(config), "--out", str(bank_dir)])
@@ -818,6 +821,7 @@ def test_cli_refuses_a_malformed_table_naming_file_and_line(tmp_path, capsys, co
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / file}: line "), err
+    assert detail in err[0] and "row 0" not in err[0], err
     assert not out.exists()
 
 

@@ -87,6 +87,27 @@ def test_tables_are_written_by_write_table_alone(path):
     assert csv_writers + schema_lines == []
 
 
+_STABLE_KINDS = ("stable", "mergesort")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_stable_orders_come_from_stable_order_alone(path):
+    # reweight.stable_order gives every stable order and reweight._on_union
+    # merges two cdfs' points, so a stable sort or a union1d anywhere else is
+    # a second, slower way to do one of them
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = _inside(tree, "stable_order") | _inside(tree, "_on_union")
+    stable_sorts = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.keyword) and node.arg == "kind"
+            and isinstance(node.value, ast.Constant) and node.value.value in _STABLE_KINDS
+            or isinstance(node, ast.Attribute) and node.attr == "union1d")
+        and id(node) not in allowed
+    ]
+    assert stable_sorts == []
+
+
 # exported names that no package module needs to reach: the toy's closed-form
 # oracles for acceptance criterion 2, and the pixel-file writer that the
 # benchmark inputs and the tests use to make pixel files

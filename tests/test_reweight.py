@@ -116,6 +116,17 @@ def test_isd_matches_bruteforce(map_samples, sims):
     assert integrated_squared_distance(f, h) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("values, weights, message", [
+    ([], None, "non-empty 1-d"),
+    ([0.2, np.nan], None, "cdf sample 1 is nan"),
+    ([0.2, 0.7], [0.2, 0.09, 0.7], "one per sample"),
+    ([0.2, 0.7], [-1.0, 2.0], "non-negative"),
+], ids=["empty", "nan-value", "weights-longer-than-values", "negative-weight"])
+def test_stepcdf_refuses_bad_samples(values, weights, message):
+    with pytest.raises(ValueError, match=message):
+        StepCdf.from_samples(np.array(values, dtype=float), weights)
+
+
 def test_stepcdf_integral_matches_quadrature():
     rng = np.random.default_rng(7)
     samples = rng.uniform(size=20)
@@ -147,6 +158,27 @@ def test_select_delta_degenerate_falls_back():
 def test_select_delta_needs_three():
     with pytest.raises(ValueError):
         select_delta(np.array([0.1, 0.9]))
+
+
+BAD_PREVALENCES = [
+    ([0.3, np.nan, 0.1, 0.2], "simulated prevalence 1 is nan"),
+    ([0.3, 0.1, 1.5, -0.2], "simulated prevalence 2 is 1.5"),
+    ([-0.2, 0.3, 0.1, 0.2], "simulated prevalence 0 is -0.2"),
+]
+BAD_PREVALENCE_IDS = ["nan", "above-one", "below-zero"]
+
+
+@pytest.mark.parametrize("sims, message", BAD_PREVALENCES, ids=BAD_PREVALENCE_IDS)
+def test_select_delta_refuses_a_value_that_is_not_a_prevalence(sims, message):
+    with pytest.raises(ValueError, match=message):
+        select_delta(np.array(sims))
+
+
+@pytest.mark.parametrize("kind", ["distance", "histogram", "discrepancy"])
+@pytest.mark.parametrize("sims, message", BAD_PREVALENCES, ids=BAD_PREVALENCE_IDS)
+def test_prepare_ernd_refuses_a_value_that_is_not_a_prevalence(kind, sims, message):
+    with pytest.raises(ValueError, match=message):
+        prepare_ernd(np.array(sims), kind, delta=0.1)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=3, max_size=40))

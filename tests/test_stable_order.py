@@ -1,0 +1,122 @@
+"""The stable-order kernel and the code built on it, against numpy and the reference copies.
+
+``stable_order`` must give exactly numpy's stable argsort, and the cdf, the
+two cdf distances and the window-width rule built on it must give the same
+bits as the code they replaced, kept in ``tests/reference.py``.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import maplink.toy
+import reference
+from maplink.pipeline import SimulationBank
+from maplink.reweight import (
+    StepCdf,
+    integrated_squared_distance,
+    ks_distance,
+    select_delta,
+    stable_order,
+)
+from maplink.toy import run_toy_experiment
+
+# few distinct values, so that most samples tie; -0.0 and 0.0 compare equal
+TIED = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0])
+ANY = st.floats(allow_nan=False)
+PREVALENCE = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+def _same(got, want) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# --- stable_order ---------------------------------------------------------------
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3])
+def test_stable_order_is_the_stable_argsort_of_every_small_array(size):
+    for values in itertools.product([-0.0, 0.0, 0.5, 1.0], repeat=size):
+        values = np.array(values, dtype=float)
+        assert _same(stable_order(values), np.argsort(values, kind="stable")), values
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(TIED, ANY), max_size=200))
+def test_stable_order_is_the_stable_argsort(values):
+    values = np.array(values, dtype=float)
+    assert _same(stable_order(values), np.argsort(values, kind="stable"))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 8), st.integers(1, 50), st.randoms())
+def test_trajectory_order_is_the_stable_argsort_of_each_year(j, years, population, random):
+    # trajectories are counts over a population, so each year's column is full
+    # of ties, zeros above all once a run reaches elimination
+    rng = np.random.default_rng(random.getrandbits(32))
+    traj = rng.binomial(population, rng.uniform(0.0, 0.3, size=(j, 1)), size=(j, years + 1))
+    bank = SimulationBank(
+        populations=np.full(j, population),
+        population_proposal_mass=np.ones(j),
+        equilibrium_prevalence=traj[:, 0] / population,
+        trajectories={"none": traj / population},
+    )
+    want = np.argsort(bank.trajectories["none"].T, axis=1, kind="stable")
+    assert _same(bank.trajectory_order("none"), want)
+
+
+# --- the cdf, the distances and the window width against the reference copies ---
+
+def _samples(values, weights):
+    values = np.array(values, dtype=float)
+    if weights is None:
+        return values, None
+    weights = np.array(weights[:values.size] + [1.0] * (values.size - len(weights)))
+    return values, weights if weights.sum() > 0.0 else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(TIED, ANY), min_size=1, max_size=100),
+       st.one_of(st.none(), st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e6)))))
+def test_step_cdf_matches_the_reference(values, weights):
+    values, weights = _samples(values, weights)
+    got = StepCdf.from_samples(values, weights)
+    want = reference.StepCdf.from_samples(values, weights)
+    assert _same(got.points, want.points) and _same(got.cum, want.cum)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(PREVALENCE, min_size=1, max_size=80),
+       st.lists(PREVALENCE, min_size=1, max_size=80),
+       st.one_of(st.none(), st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e6)))),
+       st.one_of(st.just((0.0, 1.0)), st.tuples(PREVALENCE, PREVALENCE).map(sorted)))
+def test_cdf_distances_match_the_reference(map_values, sims, weights, bounds):
+    sims, weights = _samples(sims, weights)
+    lo, hi = bounds
+    ours = StepCdf.from_samples(map_values), StepCdf.from_samples(sims, weights)
+    theirs = (reference.StepCdf.from_samples(map_values),
+              reference.StepCdf.from_samples(sims, weights))
+    assert ks_distance(*ours) == reference.ks_distance(*theirs)
+    got = integrated_squared_distance(*ours, lo, hi)
+    assert np.float64(got).tobytes() == np.float64(
+        reference.integrated_squared_distance(*theirs, lo, hi)).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(PREVALENCE, min_size=3, max_size=100))
+def test_select_delta_matches_the_reference(sims):
+    assert select_delta(sims) == reference.select_delta(sims)
+
+
+@pytest.mark.parametrize("proposal_kind", ["prior", "uniform"])
+@pytest.mark.parametrize("ernd_kind", ["distance", "histogram", "discrepancy"])
+def test_toy_reports_match_the_reference(monkeypatch, ernd_kind, proposal_kind):
+    setting = dict(m=400, j=300, replicates=4, ernd_kind=ernd_kind, proposal_kind=proposal_kind,
+                   seed=7)
+    ours = run_toy_experiment(**setting)
+    for name in ("StepCdf", "ks_distance", "integrated_squared_distance", "select_delta",
+                 "prepare_ernd"):
+        monkeypatch.setattr(maplink.toy, name, getattr(reference, name))
+    assert ours == run_toy_experiment(**setting)
