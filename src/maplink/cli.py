@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -32,10 +31,6 @@ from .transmission import (
     run_scenario,
     run_to_equilibrium,
 )
-
-# the names of the files a bank shard writes (see io.write_bank_shard)
-_SHARD_FILE = re.compile(r"shard_\d{4,}\.json|params_s\d{4,}\.csv|equilibrium_s\d{4,}\.npy"
-                         r"|traj_.+_s\d{4,}\.npy")
 
 
 def _run_config(args, **overrides) -> mio.RunConfig:
@@ -119,7 +114,7 @@ def cmd_simulate(args) -> int:
     shard_entries = []
     for shard_index, start in enumerate(range(0, config.j_simulations, shard_size)):
         stop = min(start + shard_size, config.j_simulations)
-        shard_json = out / f"shard_{shard_index:04d}.json"
+        shard_json = out / mio.shard_file("record", shard_index)
         if args.resume and shard_json.exists():
             entry = json.loads(shard_json.read_text())
             if entry.get("config_sha256") == config_digest and all(
@@ -148,10 +143,10 @@ def cmd_simulate(args) -> int:
         shard_entries.append(entry)
 
     # drop shard files of an earlier, larger plan so the manifest never lists them
-    kept = {f"shard_{e['index']:04d}.json" for e in shard_entries}
+    kept = {mio.shard_file("record", e["index"]) for e in shard_entries}
     kept.update(name for e in shard_entries for name in e["files"].values())
     for path in out.iterdir():
-        if _SHARD_FILE.fullmatch(path.name) and path.name not in kept:
+        if mio.SHARD_FILE.fullmatch(path.name) and path.name not in kept:
             path.unlink()
     mio.write_manifest(
         out,

@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import numbers
+import re
 import types
 import typing
 from dataclasses import asdict, dataclass, field
@@ -41,6 +42,7 @@ from .transmission import ModelParams, Scenario
 __all__ = [
     "RunConfig",
     "SCHEMA_VERSIONS",
+    "SHARD_FILE",
     "load_manifest",
     "load_pixel_posteriors",
     "load_simulation_bank",
@@ -48,6 +50,7 @@ __all__ = [
     "save_population_proposal",
     "save_pixel_posteriors",
     "save_weights",
+    "shard_file",
     "write_bank_shard",
     "write_elimination_csv",
     "write_excluded_pixels",
@@ -60,13 +63,14 @@ __all__ = [
 ]
 
 SCHEMA_VERSIONS = {
-    "bank": "maplink/bank v1",
+    "bank": "maplink/bank v2",
     "params": "maplink/bank-params v1",
     "pixels": "maplink/pixel-posteriors v1",
     "proposal": "maplink/population-proposal v1",
     "weights": "maplink/weights v1",
     "summary": "maplink/summary v1",
     "elimination": "maplink/elimination v1",
+    "proportion_eliminated": "maplink/proportion-eliminated v1",
     "excluded": "maplink/excluded-pixels v1",
     "recovery": "maplink/population-recovery v1",
     "toy_table": "maplink/toy-table v1",
@@ -95,7 +99,8 @@ def save_npy(path: Path, array: np.ndarray) -> None:
 
 # the kinds whose v1 rows end in CRLF, the csv module's default; the others'
 # rows, and every schema line, end in LF
-_CRLF_ROWS = frozenset({"proposal", "params", "pixels", "weights", "summary", "elimination"})
+_CRLF_ROWS = frozenset({"proposal", "params", "pixels", "weights", "summary", "elimination",
+                        "proportion_eliminated"})
 
 
 def _write_table(path: Path, kind: str, columns: Sequence[str], rows) -> None:
@@ -107,16 +112,14 @@ def _write_table(path: Path, kind: str, columns: Sequence[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _read_table(path: Path, data: bytes, kind: str, columns, parse):
-    """``parse`` of the list of rows of ``data``, a ``kind`` table read from ``path``.
+def _read_table(path: Path, data: bytes, kind: str, columns, parse_row) -> list:
+    """``parse_row`` of each row of ``data``, a ``kind`` table read from ``path``.
 
     ``columns`` is the header, or for a table as wide as its data a function
     of the header's width that gives it.  The schema line and the header are
-    checked first.  ``parse`` takes every row at once, which keeps per-row
-    Python work out of reading a large bank.  A row narrower or wider than
-    the header, one the csv module cannot read, and the first row that
-    ``parse`` raises ``ValueError`` for on its own are refused with the path
-    and line.
+    checked first.  A row narrower or wider than the header, one the csv
+    module cannot read, and one that ``parse_row`` raises ``ValueError`` for
+    are refused with the path and line.
     """
     try:
         text = data.decode()
@@ -134,25 +137,15 @@ def _read_table(path: Path, data: bytes, kind: str, columns, parse):
         pairs = enumerate(itertools.zip_longest(header, expected), 1)
         i, got, want = next((i, got, want) for i, (got, want) in pairs if got != want)
         raise ValueError(f"{path}: line 2: header column {i} is {got!r}, expected {want!r}")
+    parsed = []
     try:
-        rows = list(reader)
-    except csv.Error as err:
-        raise ValueError(f"{path}: line {reader.line_num + 1}: {err}") from None
-    if set(map(len, rows)) <= {len(header)}:
-        try:
-            return parse(rows)
-        except ValueError:
-            pass  # raised again below, with the line of the row at fault
-    line = 3  # where each row starts; a line break inside a quoted field adds a line
-    for row in rows:
-        try:
+        for row in reader:
             if len(row) != len(header):
                 raise ValueError(f"{len(row)} fields, but the header has {len(header)}")
-            parse([row])
-        except ValueError as err:
-            raise ValueError(f"{path}: line {line}: {err}") from None
-        line += 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
-    return parse(rows)
+            parsed.append(parse_row(row))
+    except (csv.Error, ValueError) as err:  # line_num counts the lines after the schema line
+        raise ValueError(f"{path}: line {reader.line_num + 1}: {err}") from None
+    return parsed
 
 
 def _has_type(value, hint) -> bool:
@@ -283,9 +276,11 @@ class RunConfig:
         """SHA-256 of everything a bank shard depends on.
 
         That is every key but those only ``weight`` and ``project`` read, and
-        the content of the vector-ratio/aggregation grid file, if one is set.
+        the content of the vector-ratio/aggregation grid file, if one is set,
+        and the bank's schema, so no shard of another bank format is reused.
         """
         payload = {k: v for k, v in self.to_jsonable().items() if k not in _WEIGHT_PROJECT_KEYS}
+        payload["bank_schema"] = SCHEMA_VERSIONS["bank"]
         if self.vh_k_grid_path:
             payload["vh_k_grid_sha256"] = sha256_file(Path(self.vh_k_grid_path))
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
@@ -425,8 +420,32 @@ _PARAM_COLUMNS = [
     "importation_rate",
     "population_proposal_mass",
 ]
-_PARAM_DTYPE = np.dtype([(name, np.int64 if name in ("sim_id", "population") else np.float64)
-                         for name in _PARAM_COLUMNS])
+
+# the names of shard ``index``'s files by manifest key (traj_ for each traj_<scenario>),
+# and of the record that lets `simulate --resume` reuse the shard
+_SHARD_NAMES = {
+    "params": "params_s{index:04d}.csv",
+    "population": "population_s{index:04d}.npy",
+    "proposal_mass": "proposal_mass_s{index:04d}.npy",
+    "equilibrium": "equilibrium_s{index:04d}.npy",
+    "traj_": "traj_{scenario}_s{index:04d}.npy",
+    "record": "shard_{index:04d}.json",
+}
+# the name of any of those files, of any shard and scenario
+SHARD_FILE = re.compile("|".join(
+    re.escape(name).replace(r"\{index:04d\}", r"\d{4,}").replace(r"\{scenario\}", ".+")
+    for name in _SHARD_NAMES.values()
+))
+_COLUMN_RANGES = {
+    "population": (lambda n: n >= 1, "is below 1"),
+    "proposal_mass": (lambda q: (q > 0) & (q <= 1), "is not a number in (0, 1]"),
+}
+
+
+def shard_file(key: str, index: int) -> str:
+    """The name of shard ``index``'s ``key`` file: a manifest key, or ``record``."""
+    template = _SHARD_NAMES["traj_" if key.startswith("traj_") else key]
+    return template.format(index=index, scenario=key[5:])
 
 
 def write_bank_shard(
@@ -441,9 +460,8 @@ def write_bank_shard(
     """Write one shard of the simulation bank; returns its manifest entry."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    tag = f"s{shard_index:04d}"
-    params_path = directory / f"params_{tag}.csv"
-    _write_table(params_path, "params", _PARAM_COLUMNS, (
+    files = {"params": shard_file("params", shard_index)}
+    _write_table(directory / files["params"], "params", _PARAM_COLUMNS, (
         [
             first_sim_id + offset,
             theta.population,
@@ -454,12 +472,15 @@ def write_bank_shard(
         ]
         for offset, (theta, q) in enumerate(zip(thetas, proposal_mass))
     ))
-    save_npy(directory / f"equilibrium_{tag}.npy", np.asarray(equilibrium, dtype=float))
-    files = {"params": params_path.name, "equilibrium": f"equilibrium_{tag}.npy"}
-    for name, traj in trajectories.items():
-        fname = f"traj_{name}_{tag}.npy"
-        save_npy(directory / fname, np.asarray(traj, dtype=float))
-        files[f"traj_{name}"] = fname
+    arrays = {
+        "population": np.array([theta.population for theta in thetas], dtype=np.int64),
+        "proposal_mass": np.asarray(proposal_mass, dtype=float),
+        "equilibrium": np.asarray(equilibrium, dtype=float),
+        **{f"traj_{name}": np.asarray(traj, dtype=float) for name, traj in trajectories.items()},
+    }
+    for key, array in arrays.items():
+        files[key] = shard_file(key, shard_index)
+        save_npy(directory / files[key], array)
     return {
         "index": shard_index,
         "first_sim_id": first_sim_id,
@@ -468,61 +489,16 @@ def write_bank_shard(
     }
 
 
-def _param_rows(lines: list[str]) -> np.ndarray:
-    """Params rows, one a line, as a ``_PARAM_DTYPE`` array; a blank line is refused."""
-    rows = np.loadtxt(lines, _PARAM_DTYPE, comments=None, delimiter=",", ndmin=1) if lines \
-        else np.empty(0, _PARAM_DTYPE)
-    if rows.size != len(lines):  # np.loadtxt skips blank lines
-        raise ValueError("a blank line")
-    return rows
-
-
-def _read_params(path: Path, data: bytes) -> np.ndarray:
-    """A params table's rows as a ``_PARAM_DTYPE`` array.
-
-    ``_read_table`` checks the schema line and the header, then one
-    ``np.loadtxt`` call converts every row, checking its width and each
-    column's type.  If it refuses a row, ``_read_table`` reads the table
-    again to name the line at fault, and ``_param_fields`` the column.
-    """
-    parts = data.split(b"\n", 2)  # the schema line, the header and the rows
-    body = parts[2] if len(parts) == 3 else b""
-    _read_table(path, data[:len(data) - len(body)], "params", _PARAM_COLUMNS, lambda rows: None)
-    try:
-        return _param_rows(body.decode().splitlines())
-    except ValueError:
-        return _read_table(path, data, "params", _PARAM_COLUMNS, _param_fields)
-
-
-def _param_fields(rows: list[list[str]]) -> np.ndarray:
-    """``_param_rows`` of rows of fields.
-
-    When they do not convert, the first field of the first row that does
-    not convert on its own is refused naming its column.
-    """
-    try:
-        return _param_rows([",".join(row) for row in rows])
-    except ValueError:
-        row = rows[0]
-        for i, name in enumerate(_PARAM_COLUMNS):
-            try:  # the field alone, the others replaced by a zero every column reads
-                _param_rows([",".join(field if k == i else "0" for k, field in enumerate(row))])
-            except ValueError:
-                kind = "an integer" if _PARAM_DTYPE[name].kind == "i" else "a number"
-                raise ValueError(f"column {name}: {row[i]!r} is not {kind}") from None
-        raise
-
-
 def _bank_shards(directory: Path, manifest: dict) -> list[dict]:
-    """The manifest's shards in index order, after they check as one v1 bank.
+    """The manifest's shards in index order, after they check as one bank of this schema.
 
     Shards 0 to n-1 hold simulations 0 to j-1 in turn, at least one each,
     and name the same kinds of file, each with a checksum.
     """
     where = directory / "manifest.json"
     if manifest.get("schema") != SCHEMA_VERSIONS["bank"]:
-        raise ValueError(f"{where}: schema is {manifest.get('schema')!r}, "
-                         f"expected {SCHEMA_VERSIONS['bank']!r}")
+        raise ValueError(f"{where}: schema is {manifest.get('schema')!r}, expected "
+                         f"{SCHEMA_VERSIONS['bank']!r}; rebuild the bank with `maplink simulate`")
     shards = manifest.get("shards")
     if not (isinstance(shards, list) and shards and all(
             isinstance(s, dict) and isinstance(s.get("files"), dict)
@@ -534,11 +510,10 @@ def _bank_shards(directory: Path, manifest: dict) -> list[dict]:
     if [s["index"] for s in shards] != list(range(len(shards))):
         raise ValueError(f"{where}: shard indices are {[s['index'] for s in shards]}, "
                          f"expected 0 to {len(shards) - 1}")
-    kinds = set(shards[0]["files"])
-    if not {"params", "equilibrium"} <= kinds or not all(
-            k.startswith("traj_") for k in kinds - {"params", "equilibrium"}):
+    kinds, required = set(shards[0]["files"]), _SHARD_NAMES.keys() - {"traj_", "record"}
+    if not required <= kinds or not all(k.startswith("traj_") for k in kinds - required):
         raise ValueError(f"{where}: shard 0: files {sorted(kinds)}, expected params, "
-                         f"equilibrium and traj_<scenario> ones")
+                         f"population, proposal_mass, equilibrium and traj_<scenario> ones")
     names, scenarios = manifest.get("scenarios"), sorted(k[5:] for k in kinds if k[:5] == "traj_")
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
             and sorted(names) == scenarios):
@@ -567,45 +542,45 @@ def _bank_shards(directory: Path, manifest: dict) -> list[dict]:
 def load_simulation_bank(directory: Path) -> tuple[SimulationBank, dict]:
     """Assemble the bank from its shards, in shard order; returns (bank, manifest).
 
-    Each file the manifest lists is read once.  A shard's files are checked
-    against their checksums and decoded from the same bytes into arrays of
-    the whole bank; the other files are only checked.
+    Each file the manifest lists is read once and checked against its
+    checksum.  A shard's arrays are decoded from the same bytes into arrays
+    of the whole bank; its params table, a record for people, is not parsed.
     """
     directory = Path(directory)
     manifest = load_manifest(directory, verify=False)
     shards = _bank_shards(directory, manifest)
     j = shards[-1]["first_sim_id"] + shards[-1]["j"]
-    populations, masses, equilibrium = np.empty(j, np.int64), np.empty(j), np.empty(j)
-    trajectories, headers, read = {}, {}, set()
+    columns = {"population": np.empty(j, np.int64), "proposal_mass": np.empty(j),
+               "equilibrium": np.empty(j)}
+    headers, read = {}, set()
     for shard in shards:
         start, stop = shard["first_sim_id"], shard["first_sim_id"] + shard["j"]
         for key, name in shard["files"].items():
-            path = directory / name
-            data = _read_checked(path, manifest["checksums"][name])
-            read.add(name)
             if key == "params":
-                rows = _read_params(path, data)
-                if rows.size != shard["j"]:
-                    raise ValueError(f"{path}: {rows.size} rows, but shard {shard['index']} "
-                                     f"holds {shard['j']} simulations")
-                wrong = np.flatnonzero(rows["sim_id"] != np.arange(start, stop))
-                if wrong.size:
-                    raise ValueError(f"{path}: line {wrong[0] + 3}: sim_id is "
-                                     f"{rows['sim_id'][wrong[0]]}, expected {start + wrong[0]}")
-                populations[start:stop] = rows["population"]
-                masses[start:stop] = rows["population_proposal_mass"]
-            else:
-                array = _npy(path, data, headers)
-                if key != "equilibrium" and key[5:] not in trajectories:  # as wide as in shard 0
-                    trajectories[key[5:]] = np.empty((j,) + array.shape[1:2])
-                target = equilibrium if key == "equilibrium" else trajectories[key[5:]]
-                if array.shape != (shard["j"],) + target.shape[1:]:
-                    raise ValueError(f"{path}: shape {array.shape}, but shard {shard['index']} "
-                                     f"needs {(shard['j'],) + target.shape[1:]}")
-                target[start:stop] = array
+                continue
+            path, at = directory / name, f"shard {shard['index']}"
+            array = _npy(path, _read_checked(path, manifest["checksums"][name]), headers)
+            read.add(name)
+            if key not in columns:  # a trajectory, as wide as in shard 0
+                columns[key] = np.empty((j,) + array.shape[1:2])
+            target = columns[key]
+            if array.shape != (shard["j"],) + target.shape[1:]:
+                raise ValueError(f"{path}: shape {array.shape}, but {at} "
+                                 f"needs {(shard['j'],) + target.shape[1:]}")
+            if key == "population" and array.dtype.kind == "f":
+                raise ValueError(f"{path}: {at}: holds {array.dtype}, not integers")
+            target[start:stop] = array
+            if key in _COLUMN_RANGES:
+                valid, fault = _COLUMN_RANGES[key]
+                bad = start + np.flatnonzero(~valid(target[start:stop]))
+                if bad.size:
+                    raise ValueError(f"{path}: {at}: {key} {target[bad[0]]} of simulation "
+                                     f"{bad[0]} {fault}")
     _check_unread(directory, manifest, read)
-    bank = SimulationBank(populations=populations, population_proposal_mass=masses,
-                          equilibrium_prevalence=equilibrium, trajectories=trajectories)
+    bank = SimulationBank(populations=columns.pop("population"),
+                          population_proposal_mass=columns.pop("proposal_mass"),
+                          equilibrium_prevalence=columns.pop("equilibrium"),
+                          trajectories={key[5:]: array for key, array in columns.items()})
     return bank, manifest
 
 
@@ -632,11 +607,9 @@ def save_pixel_posteriors(path: Path, pixels: Sequence[PixelPosterior]) -> None:
 def load_pixel_posteriors(path: Path) -> list[PixelPosterior]:
     path = Path(path)
     return _read_table(
-        path, path.read_bytes(), "pixels", lambda width: _pixel_columns(width - 3), lambda rows: [
-            PixelPosterior(pixel_id=row[0], country=row[1], population=float(row[2]),
-                           samples=np.array([float(v) for v in row[3:]]))
-            for row in rows
-        ])
+        path, path.read_bytes(), "pixels", lambda width: _pixel_columns(width - 3),
+        lambda row: PixelPosterior(pixel_id=row[0], country=row[1], population=float(row[2]),
+                                   samples=np.array([float(v) for v in row[3:]])))
 
 
 # ---------------------------------------------------------------------------
@@ -699,12 +672,9 @@ def load_weights(directory: Path) -> list[PixelWeights]:
         raise ValueError(f"{directory / 'offsets.npy'}: offsets must start at 0, increase "
                          f"strictly and end at {indices.size}, the number of weights")
     units = directory / "units.csv"
-    rows = _read_table(units, data["units.csv"], "weights", _UNIT_COLUMNS, lambda rows: [
-        dict(unit_id=row[0], bank_size=int(row[4]), ess=float(row[5]),
-             dropped_map_fraction=float(row[6]), clamp_count=int(row[7]),
-             low_ess=bool(int(row[8])))
-        for row in rows
-    ])
+    rows = _read_table(units, data["units.csv"], "weights", _UNIT_COLUMNS, lambda row: dict(
+        unit_id=row[0], bank_size=int(row[4]), ess=float(row[5]),
+        dropped_map_fraction=float(row[6]), clamp_count=int(row[7]), low_ess=bool(int(row[8]))))
     if len(rows) != offsets.size - 1:
         raise ValueError(f"{units}: {len(rows)} units, but offsets.npy "
                          f"holds {offsets.size - 1}")
@@ -773,8 +743,8 @@ def write_proportion_eliminated_csv(
     finals: dict[str, list[float]] = {}
     for summary in summaries:
         finals.setdefault(summary.scenario, []).append(summary.elimination_probability[-1])
-    _write_table(path, "elimination", ["scenario", "probability_threshold",
-                                       "proportion_achieved"], (
+    _write_table(path, "proportion_eliminated", ["scenario", "probability_threshold",
+                                                 "proportion_achieved"], (
         [scenario, _fmt(threshold), _fmt(np.mean(np.array(finals[scenario]) >= threshold))]
         for scenario in sorted(finals)
         for threshold in probability_thresholds

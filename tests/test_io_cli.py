@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +211,15 @@ def test_every_table_keeps_its_v1_line_endings(tmp_path):
         assert rows.endswith(ending) and rows.split(ending)[:-1] == rows.splitlines(), path
 
 
+def test_proportion_eliminated_has_a_schema_line_of_its_own(tmp_path):
+    # its columns differ from those of elimination.csv, so a reader must tell them apart
+    _write_every_table(tmp_path)
+    schema = {name: (tmp_path / name).read_bytes().split(b"\n", 1)[0]
+              for name in ("elimination.csv", "proportion.csv")}
+    assert schema["proportion.csv"] == b"# schema: maplink/proportion-eliminated v1"
+    assert schema["proportion.csv"] != schema["elimination.csv"]
+
+
 # --- run config ------------------------------------------------------------------
 
 def test_run_config_from_json_and_validation(tmp_path):
@@ -404,6 +414,25 @@ def test_cli_simulate_resume_recomputes_shards_of_another_config(tmp_path, monke
     assert mio.load_manifest(out)["config"]["ess_floor"] == 5.0
 
 
+def test_cli_simulate_resume_recomputes_shards_of_another_bank_format(tmp_path, monkeypatch):
+    config = write_config(tmp_path)
+    out = tmp_path / "bank"
+    monkeypatch.setitem(mio.SCHEMA_VERSIONS, "bank", "maplink/bank v1")
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    monkeypatch.undo()
+    simulated, run_to_equilibrium = [], cli.run_to_equilibrium
+
+    def counted(*args):
+        simulated.append(args[0])
+        return run_to_equilibrium(*args)
+
+    monkeypatch.setattr(cli, "run_to_equilibrium", counted)
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--resume"]) == 0
+    assert len(simulated) == SMALL_CONFIG["j_simulations"]  # every shard written again
+    bank, manifest = mio.load_simulation_bank(out)
+    assert manifest["schema"] == "maplink/bank v2" and bank.size == len(simulated)
+
+
 def test_cli_simulate_removes_shards_a_smaller_bank_no_longer_writes(tmp_path):
     four_scenarios = mio.RunConfig().to_jsonable()["scenarios"]
     out = tmp_path / "bank"
@@ -413,9 +442,9 @@ def test_cli_simulate_removes_shards_a_smaller_bank_no_longer_writes(tmp_path):
     assert main(["simulate", "--config", str(config), "--out", str(out), "--resume"]) == 0
     manifest = mio.load_manifest(out)
     assert len(manifest["shards"]) == 2
-    # population_proposal.csv and per shard its json, params, equilibrium
-    # and four trajectories
-    assert len(manifest["checksums"]) == 1 + 2 * 7
+    # population_proposal.csv and per shard its json, params, population,
+    # proposal mass, equilibrium and four trajectories
+    assert len(manifest["checksums"]) == 1 + 2 * 9
     assert not list(out.glob("*0002*"))
 
 
@@ -505,6 +534,20 @@ def test_cli_weight_and_project_chain(tmp_path):
     assert elim[1] == "scenario,probability_threshold,proportion_achieved"
     recovery = (out / "population_recovery.csv").read_text().splitlines()
     assert len(recovery) == 2 + 3
+
+
+def test_cli_chain_emits_no_python_warnings(tmp_path):
+    config = write_config(tmp_path)
+    bank, weights, out = tmp_path / "bank", tmp_path / "weights", tmp_path / "summaries"
+    shared = ["--config", str(config), "--bank", str(bank)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(config), "--out", str(bank)]) == 0
+        assert main(["weight", *shared, "--pixels", str(make_pixel_file(tmp_path)),
+                     "--out", str(weights), "--delta", "0.25"]) == 0
+        assert main(["project", *shared, "--weights", str(weights), "--out", str(out)]) == 0
+        for directory in (bank, weights, out):
+            assert main(["inspect", str(directory)]) == 0
 
 
 def test_cli_project_rejects_unknown_scenario(tmp_path, capsys):
@@ -762,22 +805,10 @@ def test_cli_simulate_names_a_bad_grid_file(tmp_path, capsys, lines):
     assert not out.exists()
 
 
-def _shorten_a_params_row(path):
-    """Drop the last field of the second row, then refresh the bank's checksums."""
-    lines = path.read_bytes().splitlines(True)
-    lines[3] = lines[3].rsplit(b",", 1)[0] + b"\r\n"
-    path.write_bytes(b"".join(lines))
-    _refresh_checksums(path.parent)
-
-
-def _edit_params_field(column, value):
-    """An edit setting one field of the first params row, then refreshing the bank's checksums."""
+def _rewrite_array(change):
+    """An edit saving ``change`` of a bank array in its place, then refreshing the checksums."""
     def edit(path):
-        lines = path.read_bytes().splitlines(True)
-        fields = lines[2].split(b",")
-        fields[column] = value + (b"\r\n" if fields[column].endswith(b"\r\n") else b"")
-        lines[2] = b",".join(fields)
-        path.write_bytes(b"".join(lines))
+        np.save(path, change(np.load(path)))
         _refresh_checksums(path.parent)
     return edit
 
@@ -788,7 +819,8 @@ def _rename_the_ess_column(path):
     _refresh_checksums(path.parent)
 
 
-# `detail` is a further part of the one error line
+# `detail` is a further part of the one error line; a bank array has no lines, so its
+# error names the shard instead
 @pytest.mark.parametrize("command, file, edit, detail", [
     ("weight", "pixels.csv", lambda path: path.write_bytes(path.read_bytes() + b"\n"), ""),
     ("weight", "pixels.csv", lambda path: path.write_bytes(path.read_bytes().split(b"\n")[0]),
@@ -798,12 +830,17 @@ def _rename_the_ess_column(path):
     ("weight", "pixels.csv",
      lambda path: path.write_bytes(path.read_bytes().replace(b",KE,", b",K\xff,", 1)), ""),
     ("project", "weights/units.csv", _rename_the_ess_column, ""),
-    ("weight", "bank/params_s0000.csv", _shorten_a_params_row, ""),
-    ("weight", "bank/params_s0000.csv", _edit_params_field(0, b"-7"), ""),
-    ("weight", "bank/params_s0000.csv", _edit_params_field(2, b"abc"),
-     ": line 3: column vector_host_ratio: 'abc' is not a number"),
+    ("weight", "bank/population_s0000.npy", _rewrite_array(lambda a: a[:-1]),
+     ": shape (3,), but shard 0 needs (4,)"),
+    ("weight", "bank/population_s0000.npy", _rewrite_array(lambda a: a + 0.5),
+     ": shard 0: holds float64, not integers"),
+    ("weight", "bank/proposal_mass_s0000.npy", _rewrite_array(lambda a: a * np.nan),
+     ": shard 0: proposal_mass nan of simulation 0 is not a number in (0, 1]"),
+    ("weight", "bank/population_s0000.npy", _rewrite_array(lambda a: np.where(a == a[1], 0, a)),
+     ": shard 0: population 0 of simulation 1 is below 1"),
 ], ids=["pixels-blank-line", "pixels-schema-only", "pixels-not-a-number", "pixels-not-utf8",
-        "units-renamed-column", "params-short-row", "params-sim-id", "params-not-a-number"])
+        "units-renamed-column", "params-short-row", "params-sim-id", "params-not-a-number",
+        "population-below-1"])
 def test_cli_refuses_a_malformed_table_naming_file_and_line(tmp_path, capsys, command, file,
                                                             edit, detail):
     config = write_config(tmp_path)
@@ -820,7 +857,8 @@ def test_cli_refuses_a_malformed_table_naming_file_and_line(tmp_path, capsys, co
     assert main([command, "--config", str(config), "--bank", str(bank_dir), *inputs[command],
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / file}: line "), err
+    where = "" if file.endswith(".npy") else "line "
+    assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / file}: {where}"), err
     assert detail in err[0] and "row 0" not in err[0], err
     assert not out.exists()
 
@@ -873,7 +911,9 @@ def _set_item(key, value, shard=None):
 
 
 @pytest.mark.parametrize("edit, named", [
-    (_edit_manifest(_set_item("schema", "maplink/bank v2")), "schema"),
+    (_edit_manifest(_set_item("schema", "maplink/bank v1")),
+     "schema is 'maplink/bank v1', expected 'maplink/bank v2'; rebuild the bank with "
+     "`maplink simulate`"),
     (_edit_manifest(lambda payload: payload["checksums"].pop("equilibrium_s0001.npy")),
      "shard 1: equilibrium_s0001.npy has no checksum"),
     (_edit_manifest(_set_item("index", 5, shard=1)), "shard indices are [0, 2, 5]"),
@@ -885,9 +925,11 @@ def _set_item(key, value, shard=None):
      "shard 2: files"),
     (_rewrite_shard_file("equilibrium_s0001.npy", lambda path: np.save(path, np.load(path)[:-1])),
      "equilibrium_s0001.npy: shape (3,), but shard 1 needs (4,)"),
-    (_rewrite_shard_file("params_s0001.csv", lambda path: path.write_bytes(
-        b"".join(path.read_bytes().splitlines(True)[:-1]))),
-     "params_s0001.csv: 3 rows, but shard 1 holds 4"),
+    (_rewrite_shard_file("proposal_mass_s0001.npy", lambda path: np.save(
+        path, np.load(path)[:-1])), "proposal_mass_s0001.npy: shape (3,), but shard 1 needs (4,)"),
+    (_rewrite_shard_file("proposal_mass_s0001.npy", lambda path: np.save(
+        path, np.load(path) * np.inf)), "proposal_mass_s0001.npy: shard 1: proposal_mass inf "
+                                        "of simulation 4 is not a number in (0, 1]"),
     (_rewrite_shard_file("equilibrium_s0001.npy", lambda path: np.save(
         path, np.load(path).astype(object), allow_pickle=True)), "s0001.npy: holds object"),
     (_rewrite_shard_file("equilibrium_s0001.npy", lambda path: np.save(
@@ -897,8 +939,8 @@ def _set_item(key, value, shard=None):
     (_rewrite_shard_file("equilibrium_s0001.npy", lambda path: path.write_bytes(b"an array")),
      "s0001.npy: the magic string is not correct"),
 ], ids=["schema", "unlisted-file", "indices-gap", "sim-ids-gap", "j-sum", "no-scenarios",
-        "no-files", "files-differ", "array-rows", "params-rows", "array-of-objects",
-        "array-of-strings", "array-truncated", "not-an-array"])
+        "no-files", "files-differ", "array-rows", "params-rows", "proposal-mass-infinite",
+        "array-of-objects", "array-of-strings", "array-truncated", "not-an-array"])
 def test_cli_weight_refuses_a_malformed_bank_naming_directory_and_shard(tmp_path, capsys, edit,
                                                                         named):
     config = write_config(tmp_path)
@@ -965,7 +1007,7 @@ def test_cli_inspect_reports_and_verifies(tmp_path, capsys):
     main(["simulate", "--config", str(config), "--out", str(bank_dir)])
     assert main(["inspect", str(bank_dir)]) == 0
     out = capsys.readouterr().out
-    assert "maplink/bank v1" in out
+    assert "maplink/bank v2" in out
     (bank_dir / "params_s0000.csv").write_text("tampered")
     assert main(["inspect", str(bank_dir)]) == 1
 
