@@ -260,25 +260,14 @@ def cmd_project(args) -> int:
 
 
 def cmd_toy_validate(args) -> int:
-    rows = []
-    raw_rows = []
-    for proposal_kind in ("prior", "uniform"):
-        for ernd_kind in ("distance", "histogram", "discrepancy"):
-            reports = run_toy_experiment(
-                m=args.m,
-                j=args.j,
-                replicates=args.replicates,
-                ernd_kind=ernd_kind,
-                proposal_kind=proposal_kind,
-                delta_policy=args.delta,
-                seed=args.seed,
-            )
-            rows.append(summarize_reports(reports))
-            raw_rows.extend(reports)
+    reports = run_toy_experiment(m=args.m, j=args.j, replicates=args.replicates,
+                                 delta_policy=args.delta, seed=args.seed)
+    n = args.replicates
+    rows = [summarize_reports(reports[i:i + n]) for i in range(0, len(reports), n)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     mio.write_toy_table(out / "toy_table.csv", rows)
-    mio.write_toy_replicates(out / "toy_replicates.csv", raw_rows)
+    mio.write_toy_replicates(out / "toy_replicates.csv", reports)
     mio.write_manifest(
         out,
         {

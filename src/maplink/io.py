@@ -609,7 +609,7 @@ def load_pixel_posteriors(path: Path) -> list[PixelPosterior]:
     return _read_table(
         path, path.read_bytes(), "pixels", lambda width: _pixel_columns(width - 3),
         lambda row: PixelPosterior(pixel_id=row[0], country=row[1], population=float(row[2]),
-                                   samples=np.array([float(v) for v in row[3:]])))
+                                   samples=np.array(row[3:], dtype=float)))
 
 
 # ---------------------------------------------------------------------------

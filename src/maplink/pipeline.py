@@ -167,8 +167,11 @@ class SimulationBank:
                 raise ValueError(f"{name} must have one entry per simulation")
         if not np.all((self.equilibrium_prevalence >= 0) & (self.equilibrium_prevalence <= 1)):
             raise ValueError("equilibrium prevalences must lie in [0, 1]")
-        if not np.all(self.population_proposal_mass > 0.0):
-            raise ValueError("population proposal mass must be positive at every draw")
+        bad = ~((self.population_proposal_mass > 0.0) & (self.population_proposal_mass < np.inf))
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"population proposal mass must be positive and finite at every "
+                             f"draw; draw {i} has {float(self.population_proposal_mass[i])}")
         for name, traj in self.trajectories.items():
             if traj.ndim != 2 or traj.shape[0] != j:
                 raise ValueError(f"trajectory {name!r} must be (J, years+1)")

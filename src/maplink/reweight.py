@@ -26,16 +26,18 @@ prevalences alone.  Each estimator reads its setting from it, as in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "CdfSupport",
     "DegenerateWeightsError",
     "PreparedErnd",
     "StepCdf",
     "WeightVector",
     "apply_ernd",
+    "cdf_support",
     "discrepancy_ernd",
     "distance_ernd",
     "ess",
@@ -151,6 +153,35 @@ def stable_order(values) -> np.ndarray:
 # Empirical cdfs and distances between them
 # ---------------------------------------------------------------------------
 
+class CdfSupport(NamedTuple):
+    """The jump points of an empirical cdf and each sample's point."""
+
+    points: np.ndarray  # the distinct values, ascending
+    index: np.ndarray  # each sample's point, in the order of the samples
+
+
+def cdf_support(values) -> CdfSupport:
+    """The :class:`CdfSupport` of ``values``, a non-empty 1-d array without NaN.
+
+    Each point is the first of its run of equal values in the stable order,
+    so -0.0 or 0.0, whichever comes first.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("cdf samples must be a non-empty 1-d array")
+    nan = np.isnan(values)
+    if nan.any():
+        raise ValueError(f"cdf sample {int(nan.argmax())} is nan")
+    order = stable_order(values)
+    ordered = values[order]
+    new = np.empty(ordered.size, dtype=bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    index = np.empty(ordered.size, dtype=np.intp)
+    index[order] = np.cumsum(new) - 1
+    return CdfSupport(ordered[new], index)
+
+
 @dataclass(frozen=True)
 class StepCdf:
     """Right-continuous step cdf with jumps at ``points``.
@@ -167,36 +198,27 @@ class StepCdf:
     def from_samples(cls, values, weights=None) -> "StepCdf":
         """Weighted empirical cdf; duplicate values are merged into one jump.
 
-        ``values`` must be a non-empty 1-d array without NaN, and ``weights``,
-        if given, one finite non-negative weight per value with a positive sum.
+        ``values`` must be a non-empty 1-d array without NaN, or its
+        :func:`cdf_support`, so that several weightings of the same values
+        share one sort.  ``weights``, if given, is one finite non-negative
+        weight per value with a positive sum.
         """
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("cdf samples must be a non-empty 1-d array")
-        nan = np.isnan(values)
-        if nan.any():
-            raise ValueError(f"cdf sample {int(nan.argmax())} is nan")
+        points, index = values if isinstance(values, CdfSupport) else cdf_support(values)
         if weights is None:
-            weights = np.full(values.size, 1.0 / values.size)
+            weights = np.full(index.size, 1.0 / index.size)
         else:
             weights = np.asarray(weights, dtype=float)
-            if weights.shape != values.shape:
+            if weights.shape != index.shape:
                 raise ValueError(f"cdf weights must be one per sample: {weights.shape} "
-                                 f"weights for {values.size} samples")
+                                 f"weights for {index.size} samples")
             if not (weights >= 0.0).all() or not np.isfinite(weights).all():
                 raise ValueError("cdf weights must be finite and non-negative")
             total = weights.sum()
             if total <= 0.0:
                 raise DegenerateWeightsError("cdf of an all-zero weight vector")
             weights = weights / total
-        order = stable_order(values)
-        ordered = values[order]
-        new = np.empty(ordered.size, dtype=bool)
-        new[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-        inverse = np.cumsum(new) - 1  # each sorted value's jump, as np.unique's inverse
-        points = ordered[new]
-        mass = np.bincount(inverse, weights=weights[order], minlength=points.size)
+        # bincount adds each jump's weights in index order, as the stable order does
+        mass = np.bincount(index, weights=weights, minlength=points.size)
         return cls(points=points, cum=np.cumsum(mass))
 
     def __call__(self, x) -> np.ndarray:
@@ -330,8 +352,8 @@ def prepare_ernd(
     """Check a setting and build the ``kind`` estimator's parts that depend on ``sims`` alone.
 
     ``sims`` is the array of simulated prevalences.  The distance
-    estimator's window width is ``delta``, which must be positive, or for a
-    ``None`` delta the :func:`select_delta` choice.  As for
+    estimator's window width is ``delta``, which must be positive and
+    finite, or for a ``None`` delta the :func:`select_delta` choice.  As for
     ``numpy.histogram``'s ``bins``, ``histogram_bins`` is a count of
     equal-width bins on [0, 1] or the bin edges themselves, which must
     increase strictly from 0 to 1.  Each kind ignores the other's setting.
@@ -339,8 +361,8 @@ def prepare_ernd(
     values = _prevalences(sims)
     if kind == "distance":
         delta = delta if delta is not None else select_delta(values)
-        if not delta > 0.0:
-            raise ValueError("delta must be positive")
+        if not 0.0 < delta < np.inf:
+            raise ValueError(f"delta must be positive and finite, got {delta!r}")
         order = stable_order(values)
         sorted_values = values[order]
         lo, hi = _window_bounds(sorted_values, sorted_values, delta)
@@ -468,7 +490,10 @@ def histogram_ernd(
 
     edges = prepared.edges
     n_bins = edges.size - 1
-    map_mass = np.bincount(_bin_index(d, edges), minlength=n_bins) / d.size
+    # the samples below each inner edge, from the sorted samples; the first and
+    # last bins also take what lies outside [0, 1], and the last takes NaN
+    below = np.searchsorted(np.sort(d), edges[1:-1], side="left")
+    map_mass = np.diff(below, prepend=0, append=d.size) / d.size
     (sim_bin,) = prepared.parts
     sim_mass = np.bincount(sim_bin, weights=w1, minlength=n_bins) / w1_total
 

@@ -16,8 +16,10 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .reweight import (
+    CdfSupport,
     StepCdf,
     apply_ernd,
+    cdf_support,
     integrated_squared_distance,
     ks_distance,
     prepare_ernd,
@@ -25,6 +27,7 @@ from .reweight import (
 )
 
 __all__ = [
+    "TOY_CELLS",
     "ToyDraws",
     "ToyExperimentReport",
     "analytic_theta2_posterior_cdf",
@@ -132,30 +135,39 @@ class ToyExperimentReport:
     proposal_kind: str
 
 
-def _one_replicate(
-    m: int,
-    j: int,
+#: The paper's six (proposal, estimator) cells, in the order of its table.
+TOY_CELLS = tuple((proposal, ernd) for proposal in ("prior", "uniform")
+                  for ernd in ("distance", "histogram", "discrepancy"))
+
+
+def _checked_cells(cells) -> list[tuple[str, str]]:
+    cells = [tuple(cell) for cell in cells]
+    if not cells:
+        raise ValueError("need at least one toy cell")
+    for i, cell in enumerate(cells):
+        if cell not in TOY_CELLS:
+            raise ValueError(f"unknown toy cell {cell!r}; the cells are {list(TOY_CELLS)}")
+        if cell in cells[:i]:
+            raise ValueError(f"toy cell {cell!r} is asked for twice")
+    return cells
+
+
+def _cell_report(
+    pixel: np.ndarray,
+    map_cdf: StepCdf,
+    draws: ToyDraws,
+    w1: np.ndarray,
+    support: CdfSupport,
     ernd_kind: str,
-    proposal_kind: str,
     delta_policy: float | None,
-    rng: np.random.Generator,
     seed_id: int,
 ) -> ToyExperimentReport:
-    pixel = toy_target_sampler(m, rng)
-    if proposal_kind == "prior":
-        draws = sample_toy_prior(j, rng)
-    else:
-        draws = sample_toy_uniform_proposal(j, rng)
-    w1 = toy_stage1_weights(draws)
     sims = draws.prevalence
-
     delta: float | None = None
     if ernd_kind == "distance":
         delta = float(delta_policy) if delta_policy is not None else select_delta(sims)
     w2 = apply_ernd(pixel, prepare_ernd(sims, ernd_kind, delta), w1)
-
-    map_cdf = StepCdf.from_samples(pixel)
-    sim_cdf = StepCdf.from_samples(sims, weights=w2.weights)
+    sim_cdf = StepCdf.from_samples(support, weights=w2.weights)
     return ToyExperimentReport(
         ks=ks_distance(map_cdf, sim_cdf),
         isd=integrated_squared_distance(map_cdf, sim_cdf),
@@ -163,7 +175,7 @@ def _one_replicate(
         delta=delta,
         replicate_seed=seed_id,
         ernd_kind=ernd_kind,
-        proposal_kind=proposal_kind,
+        proposal_kind=draws.proposal_kind,
     )
 
 
@@ -171,17 +183,20 @@ def run_toy_experiment(
     m: int = 2000,
     j: int = 2000,
     replicates: int = 100,
-    ernd_kind: str = "distance",
-    proposal_kind: str = "uniform",
+    cells: Sequence[tuple[str, str]] = TOY_CELLS,
     delta_policy: float | None = None,
     seed: int = 0,
 ) -> list[ToyExperimentReport]:
-    """Repeat the toy reweighting with fresh data each time.
+    """Repeat the toy reweighting with fresh data each time, for each (proposal, estimator) cell.
 
-    ``delta_policy=None`` re-selects the window width per replicate from the
-    simulated prevalences (the automatic rule); a float fixes it.  Replicates
-    get independent child seeds from ``seed``, so they can be reproduced or
-    distributed in any order.
+    The reports come grouped by cell, in the order of ``cells``, and each
+    cell's replicates in order.  ``delta_policy=None`` re-selects the window
+    width per replicate from the simulated prevalences (the automatic rule);
+    a float fixes it.  Replicates get independent child seeds from ``seed``,
+    so they can be reproduced or distributed in any order.  Replicate i of
+    every cell draws the same pixel, and of every cell of one proposal the
+    same bank, as a run of that cell alone would, so each is drawn, checked
+    and sorted once.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
@@ -189,11 +204,28 @@ def run_toy_experiment(
         raise ValueError(f"need at least one posterior sample per replicate, got m={m}")
     if j < 3:  # the automatic window rule needs three simulated prevalences
         raise ValueError(f"need at least 3 simulations per replicate, got j={j}")
-    children = np.random.SeedSequence(seed).spawn(replicates)
-    return [
-        _one_replicate(m, j, ernd_kind, proposal_kind, delta_policy, np.random.default_rng(s), i)
-        for i, s in enumerate(children)
-    ]
+    cells = _checked_cells(cells)
+    estimators: dict[str, list[str]] = {}
+    for proposal_kind, ernd_kind in cells:
+        estimators.setdefault(proposal_kind, []).append(ernd_kind)
+    reports: dict[tuple[str, str], list[ToyExperimentReport]] = {cell: [] for cell in cells}
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(replicates)):
+        rng = np.random.default_rng(child)
+        pixel = toy_target_sampler(m, rng)
+        after_pixel = rng.bit_generator.state
+        map_cdf = StepCdf.from_samples(pixel)
+        for proposal_kind, ernd_kinds in estimators.items():
+            rng.bit_generator.state = after_pixel  # each proposal draws as if it came first
+            if proposal_kind == "prior":
+                draws = sample_toy_prior(j, rng)
+            else:
+                draws = sample_toy_uniform_proposal(j, rng)
+            w1 = toy_stage1_weights(draws)
+            support = cdf_support(draws.prevalence)
+            for ernd_kind in ernd_kinds:
+                reports[proposal_kind, ernd_kind].append(_cell_report(
+                    pixel, map_cdf, draws, w1, support, ernd_kind, delta_policy, i))
+    return [report for cell in cells for report in reports[cell]]
 
 
 def summarize_reports(reports: Sequence[ToyExperimentReport]) -> dict:

@@ -8,13 +8,24 @@ from typing import Literal
 
 import numpy as np
 
+from maplink import reweight
 from maplink.pipeline import SimulationBank
 from maplink.reweight import (
     DELTA_FALLBACK,
     DegenerateWeightsError,
     PreparedErnd,
+    WeightVector,
     _bin_index,
+    _check_kind,
     _window_bounds,
+    stable_order,
+)
+from maplink.toy import (
+    ToyExperimentReport,
+    sample_toy_prior,
+    sample_toy_uniform_proposal,
+    toy_stage1_weights,
+    toy_target_sampler,
 )
 
 
@@ -182,3 +193,168 @@ def prepare_ernd(
         return PreparedErnd(kind, values, tuple(
             np.unique(values, return_inverse=True, return_counts=True)))
     raise ValueError(f"unknown ERND kind {kind!r}")
+
+
+# The cdf builder, histogram estimator and per-cell toy harness of the package
+# before the six toy cells shared their draws, kept verbatim to compare against.
+# ``_one_replicate`` reads this module's copies of the cdf, the distances, the
+# window width, the preparation and the histogram estimator, and the package's
+# samplers and other two estimators.
+
+class StableStepCdf(StepCdf):
+    """The reference cdf, built by one stable order and one sum over the sorted values."""
+
+    @classmethod
+    def from_samples(cls, values, weights=None) -> "StableStepCdf":
+        """Weighted empirical cdf; duplicate values are merged into one jump.
+
+        ``values`` must be a non-empty 1-d array without NaN, and ``weights``,
+        if given, one finite non-negative weight per value with a positive sum.
+        """
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError("cdf samples must be a non-empty 1-d array")
+        nan = np.isnan(values)
+        if nan.any():
+            raise ValueError(f"cdf sample {int(nan.argmax())} is nan")
+        if weights is None:
+            weights = np.full(values.size, 1.0 / values.size)
+        else:
+            weights = np.asarray(weights, dtype=float)
+            if weights.shape != values.shape:
+                raise ValueError(f"cdf weights must be one per sample: {weights.shape} "
+                                 f"weights for {values.size} samples")
+            if not (weights >= 0.0).all() or not np.isfinite(weights).all():
+                raise ValueError("cdf weights must be finite and non-negative")
+            total = weights.sum()
+            if total <= 0.0:
+                raise DegenerateWeightsError("cdf of an all-zero weight vector")
+            weights = weights / total
+        order = stable_order(values)
+        ordered = values[order]
+        new = np.empty(ordered.size, dtype=bool)
+        new[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        inverse = np.cumsum(new) - 1  # each sorted value's jump, as np.unique's inverse
+        points = ordered[new]
+        mass = np.bincount(inverse, weights=weights[order], minlength=points.size)
+        return cls(points=points, cum=np.cumsum(mass))
+
+
+def histogram_ernd(
+    pixel, prepared: PreparedErnd, w1, unmatched: Literal["drop", "transfer"] = "drop"
+) -> WeightVector:
+    """Fixed-partition density-ratio reweighting over the bins ``prepared.edges``.
+
+    All simulations in one bin share the ratio (map fraction of the bin) /
+    (w1 fraction of the bin); bin widths cancel.  Bins holding map mass but
+    no simulation weight violate absolute continuity: by default that map
+    mass is dropped and recorded, or with ``unmatched="transfer"`` it is
+    moved to the nearest bin (by centre) that does contain simulations.
+    """
+    _check_kind(prepared, "histogram")
+    d = np.asarray(pixel, dtype=float)
+    w1 = np.asarray(w1, dtype=float)
+    if w1.shape != prepared.values.shape:
+        raise ValueError("w1 must have one weight per simulation")
+    w1_total = w1.sum()
+    if w1_total <= 0.0:
+        raise DegenerateWeightsError("stage-1 weights are all zero")
+
+    edges = prepared.edges
+    n_bins = edges.size - 1
+    map_mass = np.bincount(_bin_index(d, edges), minlength=n_bins) / d.size
+    (sim_bin,) = prepared.parts
+    sim_mass = np.bincount(sim_bin, weights=w1, minlength=n_bins) / w1_total
+
+    orphan = (map_mass > 0.0) & (sim_mass == 0.0)
+    dropped = 0.0
+    if np.any(orphan):
+        if unmatched == "transfer":
+            centers = (edges[:-1] + edges[1:]) / 2.0
+            hosts = np.flatnonzero(sim_mass > 0.0)
+            if hosts.size == 0:
+                raise DegenerateWeightsError("no bin contains simulation weight")
+            for b in np.flatnonzero(orphan):
+                nearest = hosts[np.argmin(np.abs(centers[hosts] - centers[b]))]
+                map_mass[nearest] += map_mass[b]
+                map_mass[b] = 0.0
+        else:
+            dropped = float(map_mass[orphan].sum())
+            map_mass[orphan] = 0.0
+
+    ratio = np.zeros(n_bins)
+    np.divide(map_mass, sim_mass, out=ratio, where=sim_mass > 0.0)
+    raw = w1 / w1_total * ratio[sim_bin]
+    return WeightVector.from_unnormalized(raw, dropped_map_fraction=dropped)
+
+
+def apply_ernd(pixel, prepared: PreparedErnd, w1, unmatched: Literal["drop", "transfer"] = "drop"):
+    """The package's dispatch, with the histogram estimator the copy above."""
+    if prepared.kind == "histogram":
+        return histogram_ernd(pixel, prepared, w1, unmatched=unmatched)
+    return reweight.apply_ernd(pixel, prepared, w1, unmatched=unmatched)
+
+
+def _one_replicate(
+    m: int,
+    j: int,
+    ernd_kind: str,
+    proposal_kind: str,
+    delta_policy: float | None,
+    rng: np.random.Generator,
+    seed_id: int,
+) -> ToyExperimentReport:
+    pixel = toy_target_sampler(m, rng)
+    if proposal_kind == "prior":
+        draws = sample_toy_prior(j, rng)
+    else:
+        draws = sample_toy_uniform_proposal(j, rng)
+    w1 = toy_stage1_weights(draws)
+    sims = draws.prevalence
+
+    delta: float | None = None
+    if ernd_kind == "distance":
+        delta = float(delta_policy) if delta_policy is not None else select_delta(sims)
+    w2 = apply_ernd(pixel, prepare_ernd(sims, ernd_kind, delta), w1)
+
+    map_cdf = StepCdf.from_samples(pixel)
+    sim_cdf = StepCdf.from_samples(sims, weights=w2.weights)
+    return ToyExperimentReport(
+        ks=ks_distance(map_cdf, sim_cdf),
+        isd=integrated_squared_distance(map_cdf, sim_cdf),
+        ess=w2.ess,
+        delta=delta,
+        replicate_seed=seed_id,
+        ernd_kind=ernd_kind,
+        proposal_kind=proposal_kind,
+    )
+
+
+def run_toy_experiment(
+    m: int = 2000,
+    j: int = 2000,
+    replicates: int = 100,
+    ernd_kind: str = "distance",
+    proposal_kind: str = "uniform",
+    delta_policy: float | None = None,
+    seed: int = 0,
+) -> list[ToyExperimentReport]:
+    """Repeat the toy reweighting with fresh data each time.
+
+    ``delta_policy=None`` re-selects the window width per replicate from the
+    simulated prevalences (the automatic rule); a float fixes it.  Replicates
+    get independent child seeds from ``seed``, so they can be reproduced or
+    distributed in any order.
+    """
+    if replicates < 1:
+        raise ValueError("need at least one replicate")
+    if m < 1:
+        raise ValueError(f"need at least one posterior sample per replicate, got m={m}")
+    if j < 3:  # the automatic window rule needs three simulated prevalences
+        raise ValueError(f"need at least 3 simulations per replicate, got j={j}")
+    children = np.random.SeedSequence(seed).spawn(replicates)
+    return [
+        _one_replicate(m, j, ernd_kind, proposal_kind, delta_policy, np.random.default_rng(s), i)
+        for i, s in enumerate(children)
+    ]

@@ -75,12 +75,13 @@ BENCHMARK_BANDS = {
 def test_criterion_1_benchmark_table_replication():
     start = time.time()
     lines = []
-    for (proposal, ernd), (isd_band, ess_band) in BENCHMARK_BANDS.items():
-        reports = run_toy_experiment(
-            m=2000, j=2000, replicates=100, ernd_kind=ernd,
-            proposal_kind=proposal, delta_policy=None, seed=SEED,
-        )
-        summary = summarize_reports(reports)
+    reports = run_toy_experiment(
+        m=2000, j=2000, replicates=100, cells=list(BENCHMARK_BANDS),
+        delta_policy=None, seed=SEED,
+    )
+    for i, ((proposal, ernd), (isd_band, ess_band)) in enumerate(BENCHMARK_BANDS.items()):
+        summary = summarize_reports(reports[100 * i:100 * (i + 1)])
+        assert (summary["proposal"], summary["ernd"]) == (proposal, ernd)
         isd_median = summary["isd_x1000"]["median"]
         ess_median = summary["ess"]["median"]
         assert isd_band[0] <= isd_median <= isd_band[1], (

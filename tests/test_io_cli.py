@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maplink import cli
 from maplink import io as mio
@@ -54,6 +56,32 @@ def test_pixel_posteriors_roundtrip(tmp_path):
         assert a.country == b.country
         assert a.population == b.population
         assert np.array_equal(a.samples, b.samples)  # bit-exact
+
+
+# shortest-repr prevalences, with both zeros, one, subnormals and values near each
+SAMPLE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, 2.225073858507201e-308,
+                                    np.nextafter(1.0, 0.0)]),
+                   st.floats(0.0, 1.0), st.floats(0.0, 1e-300))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(SAMPLE, min_size=3, max_size=3), min_size=1, max_size=5))
+def test_pixel_posteriors_roundtrip_is_bit_exact(tmp_path_factory, rows):
+    pixels = [PixelPosterior(pixel_id=f"p{i}", country="KE", population=10.0,
+                             samples=np.array(row)) for i, row in enumerate(rows)]
+    path = tmp_path_factory.mktemp("pixels") / "pixels.csv"
+    mio.save_pixel_posteriors(path, pixels)
+    again = mio.load_pixel_posteriors(path)
+    assert [p.samples.tobytes() for p in again] == [p.samples.tobytes() for p in pixels]
+
+
+def test_pixel_posteriors_name_the_line_of_a_bad_sample(tmp_path):
+    path = tmp_path / "pixels.csv"
+    mio.save_pixel_posteriors(path, [PixelPosterior("p0", "KE", 1.0, np.array([0.5, 0.5])),
+                                     PixelPosterior("p1", "KE", 1.0, np.array([0.5, 0.5]))])
+    path.write_text(path.read_text().replace("p1,KE,1.0,0.5", "p1,KE,1.0,half"))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 4: ") + ".*'half'"):
+        mio.load_pixel_posteriors(path)
 
 
 def test_population_proposal_roundtrip(tmp_path):
@@ -998,6 +1026,15 @@ def test_cli_toy_validate_refuses_too_few_samples_or_simulations(tmp_path, capsy
     assert main(["toy-validate", "--out", str(out), "--replicates", "2", *flags]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert not out.exists()
+
+
+def test_cli_toy_validate_refuses_an_infinite_delta(tmp_path, capsys):
+    out = tmp_path / "toy"
+    assert main(["toy-validate", "--out", str(out), "--m", "50", "--j", "50",
+                 "--replicates", "2", "--delta", "inf"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: delta must be positive and finite, got inf"]
     assert not out.exists()
 
 

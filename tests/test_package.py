@@ -137,3 +137,30 @@ def test_every_exported_name_is_reached_in_the_package():
             ):
                 exported.update(ast.literal_eval(node.value))
     assert sorted(exported - read - REACHED_FROM_OUTSIDE) == []
+
+
+def test_toy_reads_step_cdf_only_as_from_samples():
+    # the benchmark's tracer swaps maplink.toy.StepCdf for a stand-in that has
+    # only `from_samples`, so any other use breaks a traced `toy` run;
+    # annotations are never evaluated, so they do not count
+    path = Path(maplink.__file__).parent / "toy.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    annotations = {
+        id(node)
+        for parent in ast.walk(tree)
+        for hint in (getattr(parent, "annotation", None), getattr(parent, "returns", None))
+        if hint is not None
+        for node in ast.walk(hint)
+    }
+    read_as_from_samples = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "from_samples"
+    }
+    other_reads = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "StepCdf"
+        and id(node) not in annotations | read_as_from_samples
+    ]
+    assert other_reads == []

@@ -129,6 +129,15 @@ def test_simulation_bank_rejects_zero_proposal_mass():
         dataclasses.replace(bank, population_proposal_mass=mass)
 
 
+@pytest.mark.parametrize("mass", [np.inf, np.nan])
+def test_simulation_bank_rejects_a_proposal_mass_that_is_not_finite(mass):
+    # an infinite mass would silently give its draw zero stage-1 weight
+    with pytest.raises(ValueError, match="proposal mass .* draw 0 has"):
+        SimulationBank(populations=np.array([300, 400]),
+                       population_proposal_mass=np.array([mass, 0.5]),
+                       equilibrium_prevalence=np.array([0.1, 0.2]))
+
+
 def test_simulation_bank_rejects_nan_prevalence():
     bank = make_bank(j=10)
     prevalence = bank.equilibrium_prevalence.copy()

@@ -1,11 +1,12 @@
 """The stable-order kernel and the code built on it, against numpy and the reference copies.
 
 ``stable_order`` must give exactly numpy's stable argsort, and the cdf, the
-two cdf distances and the window-width rule built on it must give the same
-bits as the code they replaced, kept in ``tests/reference.py``.
+two cdf distances, the window-width rule and the histogram estimator must
+give the same bits as the code they replaced, kept in ``tests/reference.py``.
 """
 
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -16,9 +17,14 @@ import maplink.toy
 import reference
 from maplink.pipeline import SimulationBank
 from maplink.reweight import (
+    CdfSupport,
+    DegenerateWeightsError,
     StepCdf,
+    cdf_support,
+    histogram_ernd,
     integrated_squared_distance,
     ks_distance,
+    prepare_ernd,
     select_delta,
     stable_order,
 )
@@ -113,10 +119,61 @@ def test_select_delta_matches_the_reference(sims):
 @pytest.mark.parametrize("proposal_kind", ["prior", "uniform"])
 @pytest.mark.parametrize("ernd_kind", ["distance", "histogram", "discrepancy"])
 def test_toy_reports_match_the_reference(monkeypatch, ernd_kind, proposal_kind):
-    setting = dict(m=400, j=300, replicates=4, ernd_kind=ernd_kind, proposal_kind=proposal_kind,
-                   seed=7)
+    setting = dict(m=400, j=300, replicates=4, cells=[(proposal_kind, ernd_kind)], seed=7)
     ours = run_toy_experiment(**setting)
-    for name in ("StepCdf", "ks_distance", "integrated_squared_distance", "select_delta",
-                 "prepare_ernd"):
+    for name in ("ks_distance", "integrated_squared_distance", "select_delta", "prepare_ernd"):
         monkeypatch.setattr(maplink.toy, name, getattr(reference, name))
+    # the reference cdf sorts its values each time, so it is given them back
+    # for a shared support; they differ only in which of -0.0 and 0.0 a tie holds
+    monkeypatch.setattr(maplink.toy, "StepCdf", types.SimpleNamespace(
+        from_samples=lambda values, weights=None: reference.StepCdf.from_samples(
+            values.points[values.index] if isinstance(values, CdfSupport) else values, weights)))
     assert ours == run_toy_experiment(**setting)
+
+
+# --- the shared cdf support and the sorted-pixel histogram counts ----------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(TIED, ANY), min_size=1, max_size=100),
+       st.one_of(st.none(), st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e6)))))
+def test_step_cdf_on_a_shared_support_matches_the_stable_order_copy(values, weights):
+    values, weights = _samples(values, weights)
+    want = reference.StableStepCdf.from_samples(values, weights)
+    support = cdf_support(values)
+    for got in (StepCdf.from_samples(values, weights), StepCdf.from_samples(support, weights)):
+        assert _same(got.points, want.points) and _same(got.cum, want.cum)
+    # each value's index names its point, and of -0.0 and 0.0 the first one drawn
+    points, index = support
+    assert np.array_equal(points[index], values)
+    zeros = np.flatnonzero(values == 0.0)
+    if zeros.size:
+        assert _same(points[index[zeros[:1]]], values[zeros[:1]])
+
+
+# samples on the edges of 100 equal-width bins or of a few uneven ones, and at both
+# zeros; a pixel's samples may also lie outside [0, 1] or be NaN
+EDGES = np.linspace(0.0, 1.0, 101)
+ON_EDGE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.3, 0.07, 0.99]),
+                    st.sampled_from(list(EDGES)), st.floats(0.0, 1.0))
+OUTSIDE = st.sampled_from([-0.5, -np.inf, 1.5, np.inf, np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(ON_EDGE, OUTSIDE), min_size=1, max_size=60),
+       st.lists(ON_EDGE, min_size=1, max_size=40),
+       st.sampled_from([100, [0.0, 0.3, 0.5, 0.99, 1.0], [0.0, 1.0]]),
+       st.sampled_from(["drop", "transfer"]), st.randoms())
+def test_histogram_matches_the_reference(pixel, sims, bins, unmatched, random):
+    pixel, sims = np.array(pixel, dtype=float), np.array(sims, dtype=float)
+    w1 = np.array([random.choice([0.0, 0.5, 1.0, 3.0]) for _ in sims])
+    w1[0] = 1.0
+    prepared = prepare_ernd(sims, "histogram", histogram_bins=np.asarray(bins))
+    try:
+        want = reference.histogram_ernd(pixel, prepared, w1, unmatched=unmatched)
+    except DegenerateWeightsError:
+        with pytest.raises(DegenerateWeightsError):
+            histogram_ernd(pixel, prepared, w1, unmatched=unmatched)
+        return
+    got = histogram_ernd(pixel, prepared, w1, unmatched=unmatched)
+    assert _same(got.weights, want.weights)
+    assert _same(np.float64(got.dropped_map_fraction), np.float64(want.dropped_map_fraction))

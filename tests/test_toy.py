@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference
 from maplink.reweight import (
     StepCdf,
     distance_ernd,
@@ -12,6 +13,7 @@ from maplink.reweight import (
     select_delta,
 )
 from maplink.toy import (
+    TOY_CELLS,
     ToyDraws,
     analytic_theta2_posterior_cdf,
     analytic_theta2_posterior_pdf,
@@ -152,14 +154,14 @@ def test_experiment_rejects_too_few_samples_or_simulations(counts, name):
 
 
 def test_experiment_reports_are_reproducible():
-    a = run_toy_experiment(200, 200, 3, "distance", "uniform", None, seed=9)
-    b = run_toy_experiment(200, 200, 3, "distance", "uniform", None, seed=9)
+    a = run_toy_experiment(200, 200, 3, [("uniform", "distance")], None, seed=9)
+    b = run_toy_experiment(200, 200, 3, [("uniform", "distance")], None, seed=9)
     assert [r.isd for r in a] == [r.isd for r in b]
     assert [r.ess for r in a] == [r.ess for r in b]
 
 
 def test_summarize_reports_shape():
-    reports = run_toy_experiment(200, 200, 5, "histogram", "prior", None, seed=10)
+    reports = run_toy_experiment(200, 200, 5, [("prior", "histogram")], None, seed=10)
     summary = summarize_reports(reports)
     assert summary["ernd"] == "histogram"
     assert summary["proposal"] == "prior"
@@ -184,7 +186,36 @@ def test_ess_nondecreasing_in_delta_sweep():
 def test_discrepancy_attains_minimum_isd_each_replicate():
     seeds = 12
     for kind in ("distance", "histogram"):
-        other = run_toy_experiment(400, 400, seeds, kind, "uniform", None, seed=13)
-        best = run_toy_experiment(400, 400, seeds, "discrepancy", "uniform", None, seed=13)
+        other = run_toy_experiment(400, 400, seeds, [("uniform", kind)], None, seed=13)
+        best = run_toy_experiment(400, 400, seeds, [("uniform", "discrepancy")], None,
+                                  seed=13)
         for r_other, r_best in zip(other, best):
             assert r_best.isd <= r_other.isd + 1e-12
+
+
+# --- the six cells on one draw per replicate --------------------------------------
+
+@pytest.mark.parametrize("delta_policy", [None, 0.05], ids=["auto-delta", "delta-0.05"])
+@pytest.mark.parametrize("cells", [TOY_CELLS, TOY_CELLS[::-1], (("uniform", "histogram"),)],
+                         ids=["all", "reversed", "uniform-histogram"])
+def test_cells_match_the_per_cell_reference_runs(cells, delta_policy):
+    # replicate i of every cell draws the pixel, and of one proposal's cells
+    # the bank, that a run of that cell alone draws
+    setting = dict(m=300, j=200, replicates=5, delta_policy=delta_policy, seed=21)
+    want = [report
+            for proposal_kind, ernd_kind in cells
+            for report in reference.run_toy_experiment(
+                ernd_kind=ernd_kind, proposal_kind=proposal_kind, **setting)]
+    assert run_toy_experiment(cells=cells, **setting) == want
+
+
+@pytest.mark.parametrize("cells, named", [
+    ([], "at least one toy cell"),
+    ([("uniform", "kernel")], "('uniform', 'kernel')"),
+    ([("prior", "histogram"), ("uniform", "distance"), ("prior", "histogram")],
+     "('prior', 'histogram')"),
+], ids=["empty", "unknown", "repeated"])
+def test_experiment_refuses_an_empty_unknown_or_repeated_cell(cells, named):
+    with pytest.raises(ValueError) as err:
+        run_toy_experiment(m=10, j=10, replicates=1, cells=cells)
+    assert named in str(err.value)
