@@ -116,12 +116,15 @@ def cmd_simulate(args) -> int:
         stop = min(start + shard_size, config.j_simulations)
         shard_json = out / mio.shard_file("record", shard_index)
         if args.resume and shard_json.exists():
-            entry = json.loads(shard_json.read_text())
-            if entry.get("config_sha256") == config_digest and all(
-                (out / name).exists()
-                and mio.sha256_file(out / name) == entry["sha256"][name]
-                for name in entry["sha256"]
-            ):
+            try:
+                entry = json.loads(shard_json.read_text())
+            except ValueError:  # a record cut short, as a kill while writing it leaves one
+                entry = None
+            # a damaged record counts as missing, so its shard is computed again
+            if (isinstance(entry, dict) and entry.get("config_sha256") == config_digest
+                    and isinstance(entry.get("sha256"), dict)
+                    and all((out / name).exists() and mio.sha256_file(out / name) == digest
+                            for name, digest in entry["sha256"].items())):
                 shard_entries.append({k: entry[k] for k in ("index", "first_sim_id", "j", "files")})
                 continue
         results = ordered_map(

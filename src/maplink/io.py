@@ -258,8 +258,9 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
+        raw = _load_json(path)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: a config must be a JSON object")
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -296,9 +297,9 @@ class RunConfig:
             if kind == "none":
                 built.append(Scenario(name=name or "none", years=self.years))
             elif kind in ("annual", "biannual"):
-                build = Scenario.annual if kind == "annual" else Scenario.biannual
                 coverage = _scenario_key(spec_dict, "coverage", float)
-                built.append(build(coverage, self.years, name=name))
+                built.append(Scenario.annual(coverage, self.years, name=name) if kind == "annual"
+                             else Scenario.biannual(coverage, self.years, name=name))
             elif kind == "rounds":
                 rounds = _scenario_key(spec_dict, "rounds", tuple[tuple[int, float], ...])
                 rounds = tuple((int(m), float(c)) for m, c in rounds)
@@ -340,10 +341,18 @@ def write_manifest(directory: Path, payload: dict) -> Path:
     return path
 
 
+def _load_json(path: str | Path):
+    """The value in the JSON file ``path``; text that is not JSON is refused with the path."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as err:  # UnicodeDecodeError too
+            raise ValueError(f"{path}: not valid JSON: {err}") from None
+
+
 def load_manifest(directory: Path, verify: bool = True) -> dict:
     directory = Path(directory)
-    with open(directory / "manifest.json") as fh:
-        payload = json.load(fh)
+    payload = _load_json(directory / "manifest.json")
     if not (isinstance(payload, dict) and isinstance(payload.get("checksums", {}), dict)):
         raise ValueError(f"{directory / 'manifest.json'}: expected a JSON object whose "
                          f"checksums, if any, are an object")
@@ -606,10 +615,17 @@ def save_pixel_posteriors(path: Path, pixels: Sequence[PixelPosterior]) -> None:
 
 def load_pixel_posteriors(path: Path) -> list[PixelPosterior]:
     path = Path(path)
-    return _read_table(
-        path, path.read_bytes(), "pixels", lambda width: _pixel_columns(width - 3),
-        lambda row: PixelPosterior(pixel_id=row[0], country=row[1], population=float(row[2]),
-                                   samples=np.array(row[3:], dtype=float)))
+    seen = set()
+
+    def parse(row):
+        if row[0] in seen:
+            raise ValueError(f"pixel id {row[0]!r} is repeated")
+        seen.add(row[0])
+        return PixelPosterior(pixel_id=row[0], country=row[1], population=float(row[2]),
+                              samples=np.array(row[3:], dtype=float))
+
+    return _read_table(path, path.read_bytes(), "pixels",
+                       lambda width: _pixel_columns(width - 3), parse)
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +694,16 @@ def load_weights(directory: Path) -> list[PixelWeights]:
     if len(rows) != offsets.size - 1:
         raise ValueError(f"{units}: {len(rows)} units, but offsets.npy "
                          f"holds {offsets.size - 1}")
+    # each unit's weights are finite, positive and sum to 1, as a WeightVector's do
+    sums = np.add.reduceat(values, offsets[:-1])
+    good = np.logical_and.reduceat(np.isfinite(values) & (values > 0.0), offsets[:-1])
+    bad = ~(good & (np.abs(sums - 1.0) <= 1e-12 * np.diff(offsets)))
+    if bad.any():
+        i = int(bad.argmax())
+        what = (f"sum to {float(sums[i])!r}, not 1" if good[i]
+                else "are not all finite and positive")
+        raise ValueError(f"{directory / 'values.npy'}: the weights of unit "
+                         f"{rows[i]['unit_id']} {what}")
     return [PixelWeights(indices=indices[start:stop], values=values[start:stop], **row)
             for row, start, stop in zip(rows, offsets[:-1], offsets[1:])]
 

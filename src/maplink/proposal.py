@@ -165,7 +165,6 @@ def adapt_population_proposal(
     iterations: int = 10,
     tail_to: int = 11_550,
     reference_stride: int = 1,
-    reference_populations: np.ndarray | None = None,
 ) -> TabulatedProposal:
     """Flatten pixel effective sample sizes by iterating q <- q / ESS.
 
@@ -178,9 +177,7 @@ def adapt_population_proposal(
 
     ``reference_stride`` thins the reference pixel populations used to probe
     the ESS (the profile is still evaluated at every support point); 1 uses
-    every population in the range.  An explicit ``reference_populations``
-    array replaces the strided default, for adapting to a known finite set
-    of pixels.
+    every population in the range.
     """
     lo, hi = population_range
     if not (1 <= lo < hi):
@@ -191,12 +188,7 @@ def adapt_population_proposal(
         raise ValueError("iterations must be non-negative")
     support = np.arange(lo, hi + 1, dtype=np.int64)
     log_support = np.log(support.astype(float))
-    if reference_populations is not None:
-        refs = np.unique(np.asarray(reference_populations, dtype=np.int64))
-        if refs.size == 0 or refs[0] < lo or refs[-1] > hi:
-            raise ValueError("reference populations must lie inside the population range")
-    else:
-        refs = support[::reference_stride]
+    refs = support[::reference_stride]
     log_refs = np.log(refs.astype(float))
 
     inv_support = 1.0 / support
@@ -256,8 +248,8 @@ class VhkGrid:
         return self.vector_host_ratio[idx], self.aggregation_k[idx]
 
 
-def default_vh_k_grid(n_vh: int = 24, n_k: int = 24) -> VhkGrid:
-    """Default joint grid: log-spaced axes with positively correlated mass.
+def default_vh_k_grid() -> VhkGrid:
+    """Default joint grid: 24 x 24 log-spaced axes with positively correlated mass.
 
     The ranges (vector-to-host ratio 1 to 150, aggregation 0.01 to 3) span
     from settings that cannot sustain transmission to hyperendemic ones, and
@@ -265,8 +257,8 @@ def default_vh_k_grid(n_vh: int = 24, n_k: int = 24) -> VhkGrid:
     evenly spread exposure.  Applications with their own evidence should load
     a custom grid instead.
     """
-    vh_axis = np.geomspace(1.0, 150.0, n_vh)
-    k_axis = np.geomspace(0.01, 3.0, n_k)
+    vh_axis = np.geomspace(1.0, 150.0, 24)
+    k_axis = np.geomspace(0.01, 3.0, 24)
     vh, k = np.meshgrid(vh_axis, k_axis, indexing="ij")
     x = (np.log(vh) - np.log(12.0)) / 1.3
     y = (np.log(k) - np.log(0.25)) / 1.2

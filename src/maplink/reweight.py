@@ -266,14 +266,12 @@ def ks_distance(map_cdf: StepCdf, weighted_sim_cdf: StepCdf) -> float:
     return float(np.max(np.abs(f - h)))
 
 
-def integrated_squared_distance(
-    map_cdf: StepCdf, weighted_sim_cdf: StepCdf, lo: float = 0.0, hi: float = 1.0
-) -> float:
-    """Integral of (F - H)^2 over [lo, hi], exact for step functions."""
+def integrated_squared_distance(map_cdf: StepCdf, weighted_sim_cdf: StepCdf) -> float:
+    """Integral of (F - H)^2 over the prevalences [0, 1], exact for step functions."""
     grid, f, h = _on_union(map_cdf, weighted_sim_cdf)
-    inner = (grid > lo) & (grid < hi)
-    breaks = np.concatenate(([lo], grid[inner], [hi]))
-    heights = np.concatenate((map_cdf([lo]) - weighted_sim_cdf([lo]), f[inner] - h[inner]))
+    inner = (grid > 0.0) & (grid < 1.0)
+    breaks = np.concatenate(([0.0], grid[inner], [1.0]))
+    heights = np.concatenate((map_cdf([0.0]) - weighted_sim_cdf([0.0]), f[inner] - h[inner]))
     return float(np.sum(heights * heights * np.diff(breaks)))
 
 

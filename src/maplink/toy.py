@@ -140,18 +140,6 @@ TOY_CELLS = tuple((proposal, ernd) for proposal in ("prior", "uniform")
                   for ernd in ("distance", "histogram", "discrepancy"))
 
 
-def _checked_cells(cells) -> list[tuple[str, str]]:
-    cells = [tuple(cell) for cell in cells]
-    if not cells:
-        raise ValueError("need at least one toy cell")
-    for i, cell in enumerate(cells):
-        if cell not in TOY_CELLS:
-            raise ValueError(f"unknown toy cell {cell!r}; the cells are {list(TOY_CELLS)}")
-        if cell in cells[:i]:
-            raise ValueError(f"toy cell {cell!r} is asked for twice")
-    return cells
-
-
 def _cell_report(
     pixel: np.ndarray,
     map_cdf: StepCdf,
@@ -183,20 +171,19 @@ def run_toy_experiment(
     m: int = 2000,
     j: int = 2000,
     replicates: int = 100,
-    cells: Sequence[tuple[str, str]] = TOY_CELLS,
     delta_policy: float | None = None,
     seed: int = 0,
 ) -> list[ToyExperimentReport]:
     """Repeat the toy reweighting with fresh data each time, for each (proposal, estimator) cell.
 
-    The reports come grouped by cell, in the order of ``cells``, and each
+    The reports come grouped by cell, in the order of ``TOY_CELLS``, and each
     cell's replicates in order.  ``delta_policy=None`` re-selects the window
     width per replicate from the simulated prevalences (the automatic rule);
     a float fixes it.  Replicates get independent child seeds from ``seed``,
     so they can be reproduced or distributed in any order.  Replicate i of
     every cell draws the same pixel, and of every cell of one proposal the
-    same bank, as a run of that cell alone would, so each is drawn, checked
-    and sorted once.
+    same bank, drawn from the generator as it stood after the pixel, so each
+    is drawn, checked and sorted once.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
@@ -204,17 +191,13 @@ def run_toy_experiment(
         raise ValueError(f"need at least one posterior sample per replicate, got m={m}")
     if j < 3:  # the automatic window rule needs three simulated prevalences
         raise ValueError(f"need at least 3 simulations per replicate, got j={j}")
-    cells = _checked_cells(cells)
-    estimators: dict[str, list[str]] = {}
-    for proposal_kind, ernd_kind in cells:
-        estimators.setdefault(proposal_kind, []).append(ernd_kind)
-    reports: dict[tuple[str, str], list[ToyExperimentReport]] = {cell: [] for cell in cells}
+    reports: dict[tuple[str, str], list[ToyExperimentReport]] = {cell: [] for cell in TOY_CELLS}
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(replicates)):
         rng = np.random.default_rng(child)
         pixel = toy_target_sampler(m, rng)
         after_pixel = rng.bit_generator.state
         map_cdf = StepCdf.from_samples(pixel)
-        for proposal_kind, ernd_kinds in estimators.items():
+        for proposal_kind in ("prior", "uniform"):
             rng.bit_generator.state = after_pixel  # each proposal draws as if it came first
             if proposal_kind == "prior":
                 draws = sample_toy_prior(j, rng)
@@ -222,10 +205,10 @@ def run_toy_experiment(
                 draws = sample_toy_uniform_proposal(j, rng)
             w1 = toy_stage1_weights(draws)
             support = cdf_support(draws.prevalence)
-            for ernd_kind in ernd_kinds:
+            for ernd_kind in ("distance", "histogram", "discrepancy"):
                 reports[proposal_kind, ernd_kind].append(_cell_report(
                     pixel, map_cdf, draws, w1, support, ernd_kind, delta_policy, i))
-    return [report for cell in cells for report in reports[cell]]
+    return [report for cell in TOY_CELLS for report in reports[cell]]
 
 
 def summarize_reports(reports: Sequence[ToyExperimentReport]) -> dict:

@@ -148,14 +148,6 @@ class PopulationState:
     def size(self) -> int:
         return self.age.size
 
-    @property
-    def male_worms(self) -> np.ndarray:
-        return self.male_fertile + self.male_sterile
-
-    @property
-    def female_worms(self) -> np.ndarray:
-        return self.female_fertile + self.female_sterile
-
     def copy(self) -> "PopulationState":
         return copy.deepcopy(self)
 
@@ -396,8 +388,8 @@ def apply_mda(
 
     if np.any(treated):
         state.mf[treated] *= 1.0 - chi
-        worms = state.worms
-        for fertile, sterile in ((worms[0], worms[1]), (worms[2], worms[3])):  # male, female
+        for fertile, sterile in ((state.male_fertile, state.male_sterile),
+                                 (state.female_fertile, state.female_sterile)):
             moved = rng.binomial(fertile[treated], kappa)
             fertile[treated] -= moved
             sterile[treated] += moved

@@ -419,6 +419,21 @@ def test_cli_simulate_resume_reuses_shards(tmp_path):
     assert read_all_bytes(out) == reference
 
 
+def test_cli_simulate_resume_recomputes_shards_whose_record_is_damaged(tmp_path):
+    config = write_config(tmp_path)
+    out = tmp_path / "bank"
+    main(["simulate", "--config", str(config), "--out", str(out)])
+    reference = read_all_bytes(out)
+    # a record cut short, as a kill while it is written leaves it, and one without digests
+    cut = out / mio.shard_file("record", 0)
+    cut.write_bytes(cut.read_bytes()[:40])
+    record = out / mio.shard_file("record", 1)
+    record.write_text(json.dumps({k: v for k, v in json.loads(record.read_text()).items()
+                                  if k != "sha256"}))
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--resume"]) == 0
+    assert read_all_bytes(out) == reference
+
+
 def test_cli_simulate_resume_recomputes_shards_of_another_config(tmp_path, monkeypatch):
     config = write_config(tmp_path)
     out = tmp_path / "bank"
@@ -676,13 +691,27 @@ def _refresh_checksums(directory):
     mio.write_manifest(directory, mio.load_manifest(directory, verify=False))
 
 
-@pytest.mark.parametrize("file, edit", [
-    ("values.npy", lambda path: np.save(path, np.load(path)[:-3])),
-    ("offsets.npy", lambda path: np.save(path, np.load(path) + 1)),
-    ("offsets.npy", lambda path: np.save(path, np.load(path)[:-1])),
-    ("units.csv", lambda path: path.write_text("".join(path.read_text().splitlines(True)[:-1]))),
-], ids=["values-short", "offsets-from-1", "offsets-end-early", "units-short"])
-def test_cli_project_refuses_weight_arrays_that_disagree(tmp_path, capsys, file, edit):
+def _set_first_weight(path):
+    values = np.load(path)
+    values[0] = -5.0
+    np.save(path, values)
+
+
+# `detail` is a further part of the one error line
+@pytest.mark.parametrize("file, edit, detail", [
+    ("values.npy", lambda path: np.save(path, np.load(path)[:-3]), ""),
+    ("offsets.npy", lambda path: np.save(path, np.load(path) + 1), ""),
+    ("offsets.npy", lambda path: np.save(path, np.load(path)[:-1]), ""),
+    ("units.csv", lambda path: path.write_text("".join(path.read_text().splitlines(True)[:-1])),
+     ""),
+    ("values.npy", lambda path: np.save(path, np.load(path) * np.nan),
+     "the weights of unit p0 are not all finite and positive"),
+    ("values.npy", _set_first_weight, "the weights of unit p0 are not all finite and positive"),
+    ("values.npy", lambda path: np.save(path, np.load(path) * 0.9),
+     "the weights of unit p0 sum to 0.9"),
+], ids=["values-short", "offsets-from-1", "offsets-end-early", "units-short", "values-nan",
+        "values-negative", "values-sum-0.9"])
+def test_cli_project_refuses_weight_arrays_that_disagree(tmp_path, capsys, file, edit, detail):
     config = write_config(tmp_path)
     bank_dir = tmp_path / "bank"
     main(["simulate", "--config", str(config), "--out", str(bank_dir)])
@@ -696,6 +725,7 @@ def test_cli_project_refuses_weight_arrays_that_disagree(tmp_path, capsys, file,
                  "--weights", str(weights), "--out", str(tmp_path / "s")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {weights / file}: ")
+    assert detail in err[0], err
     assert not (tmp_path / "s").exists()
 
 
@@ -866,9 +896,12 @@ def _rename_the_ess_column(path):
      ": shard 0: proposal_mass nan of simulation 0 is not a number in (0, 1]"),
     ("weight", "bank/population_s0000.npy", _rewrite_array(lambda a: np.where(a == a[1], 0, a)),
      ": shard 0: population 0 of simulation 1 is below 1"),
+    ("weight", "pixels.csv",
+     lambda path: path.write_bytes(path.read_bytes().replace(b"\np1,", b"\np0,", 1)),
+     "line 4: pixel id 'p0' is repeated"),
 ], ids=["pixels-blank-line", "pixels-schema-only", "pixels-not-a-number", "pixels-not-utf8",
         "units-renamed-column", "params-short-row", "params-sim-id", "params-not-a-number",
-        "population-below-1"])
+        "population-below-1", "pixels-repeated-id"])
 def test_cli_refuses_a_malformed_table_naming_file_and_line(tmp_path, capsys, command, file,
                                                             edit, detail):
     config = write_config(tmp_path)
@@ -1049,8 +1082,19 @@ def test_cli_inspect_reports_and_verifies(tmp_path, capsys):
     assert main(["inspect", str(bank_dir)]) == 1
 
 
-@pytest.mark.parametrize("manifest", ["[1, 2]", '{"checksums": ["a.csv"]}'],
-                         ids=["list", "checksums-list"])
+@pytest.mark.parametrize("text", ["[]", "1", "null", '{"seed": '],
+                         ids=["list", "number", "null", "cut"])
+def test_cli_refuses_a_config_that_is_not_a_json_object(tmp_path, capsys, text):
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    config.write_text(text)
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {config}: "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("manifest", ["[1, 2]", '{"checksums": ["a.csv"]}', '{"schema": '],
+                         ids=["list", "checksums-list", "cut"])
 def test_cli_inspect_refuses_a_manifest_that_is_not_an_object(tmp_path, capsys, manifest):
     (tmp_path / "manifest.json").write_text(manifest)
     assert main(["inspect", str(tmp_path)]) == 1

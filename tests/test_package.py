@@ -118,25 +118,96 @@ REACHED_FROM_OUTSIDE = {
 }
 
 
+def _trees() -> list[ast.Module]:
+    return [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+
+
+def _read(trees) -> set[str]:
+    """Every name the modules read as a name or attribute (imports and `__all__` do not)."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute)
+    }
+
+
 def test_every_exported_name_is_reached_in_the_package():
-    # library code that no stage or command reaches is deleted or wired in; a
-    # name counts as reached when any module reads it as a name or attribute
-    # (imports and `__all__` entries do not count)
-    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
-    read = set()
+    # library code that no stage or command reaches is deleted or wired in
+    trees = _trees()
     exported = set()
     for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
         for node in tree.body:
             if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
             ):
                 exported.update(ast.literal_eval(node.value))
-    assert sorted(exported - read - REACHED_FROM_OUTSIDE) == []
+    assert sorted(exported - _read(trees) - REACHED_FROM_OUTSIDE) == []
+
+
+def _functions(trees):
+    """(function, whether calls pass it a bound first argument) for every def in the package."""
+    for tree in trees:
+        for parent in ast.walk(tree):
+            for node in ast.iter_child_nodes(parent):
+                if isinstance(node, ast.FunctionDef):
+                    bound = isinstance(parent, ast.ClassDef) and not any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in node.decorator_list)
+                    yield node, bound
+
+
+# defaulted parameters that no package call passes, each for its reason
+DEFAULTS_SET_FROM_OUTSIDE = {
+    ("main", "argv"),  # the console entry point calls main() and reads sys.argv
+}
+
+
+def test_every_function_is_reached_in_the_package():
+    # a function, method or property that no module reads serves the tests
+    # alone; Python calls the dunder methods itself
+    trees = _trees()
+    read = _read(trees) | REACHED_FROM_OUTSIDE
+    unread = [
+        f"{node.name} (line {node.lineno})"
+        for node, _ in _functions(trees)
+        if node.name not in read and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    assert unread == []
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    # a default that no package call overrides is a constant with a knob on
+    # it; a call counts when it names the function or method, however bound,
+    # and passes the parameter by position, by keyword or through * or **
+    trees = _trees()
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for node, bound in _functions(trees):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaulted = [(i, a.arg) for i, a in enumerate(positional)
+                     if i >= len(positional) - len(args.defaults)]
+        defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        for index, arg in defaulted:
+            passed = any(
+                any(k.arg in (arg, None) for k in call.keywords)
+                or index is not None and (
+                    len(call.args) > index - bound
+                    or any(isinstance(a, ast.Starred) for a in call.args))
+                for call in calls.get(node.name, ())
+            )
+            if not passed and (node.name, arg) not in DEFAULTS_SET_FROM_OUTSIDE:
+                unpassed.append(f"{node.name}({arg}=...) (line {node.lineno})")
+    assert unpassed == []
 
 
 def test_toy_reads_step_cdf_only_as_from_samples():

@@ -144,7 +144,7 @@ def test_disease_free_state_is_absorbing():
     state = initial_state(theta, UNINFECTED, rng)
     for _ in range(240):
         step(state, theta, PARAMS, rng)
-    assert int(state.male_worms.sum() + state.female_worms.sum()) == 0
+    assert int(state.worms.sum()) == 0
     assert mf_prevalence(state, PARAMS) == 0.0
 
 
@@ -178,7 +178,7 @@ def test_worm_death_dominates_at_high_mu():
     rng = np.random.default_rng(5)
     state = initial_state(theta, params, rng)
     step(state, theta, params, rng)
-    assert int(state.male_worms.sum() + state.female_worms.sum()) == 0
+    assert int(state.worms.sum()) == 0
 
 
 def test_importation_adds_worms():
@@ -187,7 +187,7 @@ def test_importation_adds_worms():
     state = initial_state(theta, UNINFECTED, rng)
     for _ in range(24):
         step(state, theta, PARAMS, rng)
-    assert int(state.male_worms.sum() + state.female_worms.sum()) > 0
+    assert int(state.worms.sum()) > 0
 
 
 def test_step_importation_override():
@@ -196,7 +196,7 @@ def test_step_importation_override():
     state = initial_state(theta, UNINFECTED, rng)
     for _ in range(24):
         step(state, replace(theta, importation_rate=0.0), PARAMS, rng)
-    assert int(state.male_worms.sum() + state.female_worms.sum()) == 0
+    assert int(state.worms.sum()) == 0
 
 
 # --- law of the worm events -----------------------------------------------------------
@@ -606,5 +606,5 @@ def test_scenario_importation_decay_used():
                      else scenario.importation_decay[month // 12])
             step(state, replace(theta, importation_rate=theta.importation_rate * decay),
                  PARAMS, rng)
-        worms.append(int(state.male_worms.sum() + state.female_worms.sum()))
+        worms.append(int(state.worms.sum()))
     assert worms[1] < worms[0]
