@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -111,39 +110,26 @@ def cmd_simulate(args) -> int:
     shard_size = config.simulate_shard_size
     # a shard is reused only if it was written from the same bank settings
     config_digest = config.bank_digest()
+    names = [s.name for s in scenarios]
     shard_entries = []
     for shard_index, start in enumerate(range(0, config.j_simulations, shard_size)):
         stop = min(start + shard_size, config.j_simulations)
-        shard_json = out / mio.shard_file("record", shard_index)
-        if args.resume and shard_json.exists():
-            try:
-                entry = json.loads(shard_json.read_text())
-            except ValueError:  # a record cut short, as a kill while writing it leaves one
-                entry = None
-            # a damaged record counts as missing, so its shard is computed again
-            if (isinstance(entry, dict) and entry.get("config_sha256") == config_digest
-                    and isinstance(entry.get("sha256"), dict)
-                    and all((out / name).exists() and mio.sha256_file(out / name) == digest
-                            for name, digest in entry["sha256"].items())):
-                shard_entries.append({k: entry[k] for k in ("index", "first_sim_id", "j", "files")})
-                continue
+        entry = mio.shard_entry(shard_index, start, stop - start, names)
+        shard_entries.append(entry)
+        record = out / mio.shard_file("record", shard_index)
+        # a damaged or stale record, or a missing or changed file, means computing it again
+        if (args.resume and record.exists()
+                and record.read_bytes() == mio.shard_record(out, entry, config_digest)):
+            continue
         results = ordered_map(
             _simulate_one, (thetas[start:stop], params, scenarios, seed_pairs[start:stop]),
             stop - start, args.workers, chunksize=4,
         )
         eq = np.array([r[0] for r in results])
-        traj = {
-            s.name: np.stack([r[1][s.name] for r in results]) for s in scenarios
-        }
-        entry = mio.write_bank_shard(
-            out, shard_index, start, thetas[start:stop], proposal_mass[start:stop], eq, traj
-        )
-        entry_with_sums = dict(entry, config_sha256=config_digest)
-        entry_with_sums["sha256"] = {
-            name: mio.sha256_file(out / name) for name in entry["files"].values()
-        }
-        shard_json.write_text(json.dumps(entry_with_sums, indent=2, sort_keys=True) + "\n")
-        shard_entries.append(entry)
+        traj = {s.name: np.stack([r[1][s.name] for r in results]) for s in scenarios}
+        mio.write_bank_shard(out, shard_index, start, thetas[start:stop],
+                             proposal_mass[start:stop], eq, traj)
+        record.write_bytes(mio.shard_record(out, entry, config_digest))
 
     # drop shard files of an earlier, larger plan so the manifest never lists them
     kept = {mio.shard_file("record", e["index"]) for e in shard_entries}
@@ -158,7 +144,7 @@ def cmd_simulate(args) -> int:
             "seed": config.seed,
             "j": config.j_simulations,
             "years": config.years,
-            "scenarios": [s.name for s in scenarios],
+            "scenarios": names,
             "importation_decay": {
                 s.name: list(s.importation_decay) if s.importation_decay else None
                 for s in scenarios

@@ -259,12 +259,15 @@ class RunConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
         raw = _load_json(path)
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}: a config must be a JSON object")
-        unknown = set(raw) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**raw)
+        try:
+            if not isinstance(raw, dict):
+                raise ValueError("a config must be a JSON object")
+            unknown = set(raw) - set(cls.__dataclass_fields__)
+            if unknown:
+                raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            return cls(**raw)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
 
     def to_jsonable(self) -> dict:
         out = asdict(self)
@@ -457,6 +460,24 @@ def shard_file(key: str, index: int) -> str:
     return template.format(index=index, scenario=key[5:])
 
 
+def shard_entry(index: int, first_sim_id: int, j: int, scenarios: Sequence[str]) -> dict:
+    """The manifest entry of shard ``index``: ``j`` simulations from ``first_sim_id`` on."""
+    keys = [k for k in _SHARD_NAMES if k not in ("traj_", "record")]
+    files = {key: shard_file(key, index) for key in keys + [f"traj_{s}" for s in scenarios]}
+    return {"index": index, "first_sim_id": first_sim_id, "j": j, "files": files}
+
+
+def shard_record(directory: Path, entry: dict, config_digest: str) -> bytes | None:
+    """The bytes of shard ``entry``'s record: the entry, the bank settings' ``config_digest``
+    and each file's SHA-256 in ``directory``; ``None`` when a file is missing."""
+    paths = [Path(directory) / name for name in entry["files"].values()]
+    if not all(path.is_file() for path in paths):
+        return None
+    record = dict(entry, config_sha256=config_digest,
+                  sha256={path.name: sha256_file(path) for path in paths})
+    return (json.dumps(record, indent=2, sort_keys=True) + "\n").encode()
+
+
 def write_bank_shard(
     directory: Path,
     shard_index: int,
@@ -469,7 +490,8 @@ def write_bank_shard(
     """Write one shard of the simulation bank; returns its manifest entry."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    files = {"params": shard_file("params", shard_index)}
+    entry = shard_entry(shard_index, first_sim_id, len(thetas), list(trajectories))
+    files = entry["files"]
     _write_table(directory / files["params"], "params", _PARAM_COLUMNS, (
         [
             first_sim_id + offset,
@@ -488,21 +510,15 @@ def write_bank_shard(
         **{f"traj_{name}": np.asarray(traj, dtype=float) for name, traj in trajectories.items()},
     }
     for key, array in arrays.items():
-        files[key] = shard_file(key, shard_index)
         save_npy(directory / files[key], array)
-    return {
-        "index": shard_index,
-        "first_sim_id": first_sim_id,
-        "j": len(thetas),
-        "files": files,
-    }
+    return entry
 
 
 def _bank_shards(directory: Path, manifest: dict) -> list[dict]:
     """The manifest's shards in index order, after they check as one bank of this schema.
 
     Shards 0 to n-1 hold simulations 0 to j-1 in turn, at least one each,
-    and name the same kinds of file, each with a checksum.
+    and name the files of their ``shard_entry``, each with a checksum.
     """
     where = directory / "manifest.json"
     if manifest.get("schema") != SCHEMA_VERSIONS["bank"]:
@@ -519,15 +535,9 @@ def _bank_shards(directory: Path, manifest: dict) -> list[dict]:
     if [s["index"] for s in shards] != list(range(len(shards))):
         raise ValueError(f"{where}: shard indices are {[s['index'] for s in shards]}, "
                          f"expected 0 to {len(shards) - 1}")
-    kinds, required = set(shards[0]["files"]), _SHARD_NAMES.keys() - {"traj_", "record"}
-    if not required <= kinds or not all(k.startswith("traj_") for k in kinds - required):
-        raise ValueError(f"{where}: shard 0: files {sorted(kinds)}, expected params, "
-                         f"population, proposal_mass, equilibrium and traj_<scenario> ones")
-    names, scenarios = manifest.get("scenarios"), sorted(k[5:] for k in kinds if k[:5] == "traj_")
-    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
-            and sorted(names) == scenarios):
-        raise ValueError(f"{where}: scenarios are {names!r}, but the shards hold the "
-                         f"trajectories of {scenarios}")
+    names = manifest.get("scenarios")
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise ValueError(f"{where}: scenarios are {names!r}, expected a list of names")
     held = 0
     for shard in shards:
         name = f"{where}: shard {shard['index']}"
@@ -536,9 +546,12 @@ def _bank_shards(directory: Path, manifest: dict) -> list[dict]:
                              f"shards before it hold {held} simulations")
         if shard["j"] < 1:
             raise ValueError(f"{name}: j is {shard['j']}, but a shard holds at least one")
-        if set(shard["files"]) != kinds:
-            raise ValueError(f"{name}: files {sorted(shard['files'])}, but shard 0 "
-                             f"names {sorted(kinds)}")
+        files = shard_entry(shard["index"], held, shard["j"], names)["files"]
+        if shard["files"] != files:
+            key = min(k for k in files.keys() | shard["files"].keys()
+                      if shard["files"].get(k) != files.get(k))
+            raise ValueError(f"{name}: files: {key} is {shard['files'].get(key)!r}, "
+                             f"expected {files.get(key)!r}")
         unlisted = [f for f in shard["files"].values() if f not in manifest.get("checksums", {})]
         if unlisted:
             raise ValueError(f"{name}: {unlisted[0]} has no checksum")

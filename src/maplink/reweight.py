@@ -337,7 +337,7 @@ class PreparedErnd:
     kind: Literal["distance", "histogram", "discrepancy"]
     values: np.ndarray  # the simulated prevalences
     # distance: the stable order, the values in it and each one's window [lo, hi) in them;
-    # histogram: the bin of each value; discrepancy: np.unique with inverse and counts
+    # histogram: the bin of each value; discrepancy: cdf_support's points and index, and counts
     parts: tuple[np.ndarray, ...]
     delta: float | None = None  # the window width, for distance only
     edges: np.ndarray | None = None  # the bin edges, for histogram only
@@ -372,8 +372,8 @@ def prepare_ernd(
             raise ValueError("histogram_bins edges must increase strictly from 0 to 1")
         return PreparedErnd(kind, values, (_bin_index(values, edges),), edges=edges)
     if kind == "discrepancy":
-        return PreparedErnd(kind, values, tuple(
-            np.unique(values, return_inverse=True, return_counts=True)))
+        points, index = cdf_support(values)
+        return PreparedErnd(kind, values, (points, index, np.bincount(index)))
     raise ValueError(f"unknown ERND kind {kind!r}")
 
 
@@ -478,6 +478,8 @@ def histogram_ernd(
     moved to the nearest bin (by centre) that does contain simulations.
     """
     _check_kind(prepared, "histogram")
+    if unmatched not in ("drop", "transfer"):
+        raise ValueError(f"unmatched must be 'drop' or 'transfer', got {unmatched!r}")
     d = np.asarray(pixel, dtype=float)
     w1 = np.asarray(w1, dtype=float)
     if w1.shape != prepared.values.shape:

@@ -434,6 +434,32 @@ def test_cli_simulate_resume_recomputes_shards_whose_record_is_damaged(tmp_path)
     assert read_all_bytes(out) == reference
 
 
+def _drop_digests_and_a_file(out):
+    record = out / mio.shard_file("record", 0)
+    record.write_text(json.dumps(dict(json.loads(record.read_text()), sha256={})))
+    (out / "equilibrium_s0000.npy").unlink()
+
+
+def _drop_files(out):
+    record = out / mio.shard_file("record", 1)
+    record.write_text(json.dumps({k: v for k, v in json.loads(record.read_text()).items()
+                                  if k != "files"}))
+
+
+@pytest.mark.parametrize("edit", [_drop_digests_and_a_file, _drop_files],
+                         ids=["no-digests-file-deleted", "no-files"])
+def test_cli_simulate_resume_recomputes_shards_whose_record_differs(tmp_path, edit):
+    # a record that lacks a checksum or names no files is not the one this run writes
+    config = write_config(tmp_path)
+    out = tmp_path / "bank"
+    main(["simulate", "--config", str(config), "--out", str(out)])
+    reference = read_all_bytes(out)
+    edit(out)
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--resume"]) == 0
+    assert read_all_bytes(out) == reference
+    assert main(["inspect", str(out)]) == 0
+
+
 def test_cli_simulate_resume_recomputes_shards_of_another_config(tmp_path, monkeypatch):
     config = write_config(tmp_path)
     out = tmp_path / "bank"
@@ -984,6 +1010,8 @@ def _set_item(key, value, shard=None):
     (_edit_manifest(lambda payload: payload["shards"][1].pop("files")), "files"),
     (_edit_manifest(lambda payload: payload["shards"][2]["files"].pop("traj_none")),
      "shard 2: files"),
+    (_edit_manifest(lambda payload: payload["shards"][1]["files"].update(
+        equilibrium="equilibrium_s0000.npy")), "shard 1: files"),
     (_rewrite_shard_file("equilibrium_s0001.npy", lambda path: np.save(path, np.load(path)[:-1])),
      "equilibrium_s0001.npy: shape (3,), but shard 1 needs (4,)"),
     (_rewrite_shard_file("proposal_mass_s0001.npy", lambda path: np.save(
@@ -1000,8 +1028,8 @@ def _set_item(key, value, shard=None):
     (_rewrite_shard_file("equilibrium_s0001.npy", lambda path: path.write_bytes(b"an array")),
      "s0001.npy: the magic string is not correct"),
 ], ids=["schema", "unlisted-file", "indices-gap", "sim-ids-gap", "j-sum", "no-scenarios",
-        "no-files", "files-differ", "array-rows", "params-rows", "proposal-mass-infinite",
-        "array-of-objects", "array-of-strings", "array-truncated", "not-an-array"])
+        "no-files", "files-differ", "files-of-another-shard", "array-rows", "params-rows",
+        "proposal-mass-infinite", "array-of-objects", "array-of-strings", "array-truncated", "not-an-array"])
 def test_cli_weight_refuses_a_malformed_bank_naming_directory_and_shard(tmp_path, capsys, edit,
                                                                         named):
     config = write_config(tmp_path)
@@ -1090,6 +1118,20 @@ def test_cli_refuses_a_config_that_is_not_a_json_object(tmp_path, capsys, text):
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {config}: "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload, named", [
+    ({"bogus": 1}, "unknown config keys: ['bogus']"),
+    ({"j_simulations": "x"}, "config key 'j_simulations' has the wrong type: 'x'"),
+    ({"scenarios": [{"name": "a", "kind": "annual"}]}, "has no 'coverage'"),
+], ids=["unknown-key", "wrong-type", "scenario-without-coverage"])
+def test_cli_config_errors_name_the_file(tmp_path, capsys, payload, named):
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    config.write_text(json.dumps(payload))
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {config}: ") and named in err[0], err
     assert not out.exists()
 
 

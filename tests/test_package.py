@@ -235,3 +235,20 @@ def test_toy_reads_step_cdf_only_as_from_samples():
         and id(node) not in annotations | read_as_from_samples
     ]
     assert other_reads == []
+
+
+def test_cli_leaves_file_formats_to_io():
+    # `cli.py` parses arguments and calls the stages; reading and writing
+    # JSON and checksums is `io`'s, so `simulate --resume` compares a shard's
+    # record with the bytes `io.shard_record` gives instead of parsing it
+    path = Path(maplink.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name in ("json", "hashlib") for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module in ("json", "hashlib")
+        or isinstance(node, (ast.Name, ast.Attribute))
+        and getattr(node, "id", getattr(node, "attr", None)) == "sha256_file"
+    ]
+    assert found == []

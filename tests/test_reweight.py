@@ -311,6 +311,12 @@ def test_histogram_orphan_bin_transferred():
     assert w.ess == pytest.approx(2.0)
 
 
+def test_histogram_refuses_an_unknown_unmatched():
+    prepared = prepare_ernd(np.array([0.1, 0.3]), "histogram", histogram_bins=[0.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match="'tranfser'"):
+        histogram_ernd(np.array([0.2, 0.9]), prepared, np.ones(2), unmatched="tranfser")
+
+
 @st.composite
 def histogram_instances(draw):
     n_bins = draw(st.integers(min_value=1, max_value=8))
