@@ -90,7 +90,7 @@ def cmd_simulate(args) -> int:
     seed_pairs = [
         child.spawn(2)
         for child in np.random.SeedSequence(config.seed).spawn(
-            config.j_simulations + max(config.pilot_simulations, 0)
+            config.j_simulations + config.pilot_simulations
         )
     ]
 
@@ -107,33 +107,30 @@ def cmd_simulate(args) -> int:
             for s in scenarios
         ]
 
-    shard_size = config.simulate_shard_size
     # a shard is reused only if it was written from the same bank settings
     config_digest = config.bank_digest()
     names = [s.name for s in scenarios]
-    shard_entries = []
-    for shard_index, start in enumerate(range(0, config.j_simulations, shard_size)):
-        stop = min(start + shard_size, config.j_simulations)
-        entry = mio.shard_entry(shard_index, start, stop - start, names)
-        shard_entries.append(entry)
-        record = out / mio.shard_file("record", shard_index)
+    plan = mio.shard_plan(config.j_simulations, config.simulate_shard_size, names)
+    for entry in plan:
+        record = out / mio.shard_file("record", entry["index"])
         # a damaged or stale record, or a missing or changed file, means computing it again
         if (args.resume and record.exists()
                 and record.read_bytes() == mio.shard_record(out, entry, config_digest)):
             continue
+        part = slice(entry["first_sim_id"], entry["first_sim_id"] + entry["j"])
         results = ordered_map(
-            _simulate_one, (thetas[start:stop], params, scenarios, seed_pairs[start:stop]),
-            stop - start, args.workers, chunksize=4,
+            _simulate_one, (thetas[part], params, scenarios, seed_pairs[part]),
+            entry["j"], args.workers, chunksize=4,
         )
         eq = np.array([r[0] for r in results])
         traj = {s.name: np.stack([r[1][s.name] for r in results]) for s in scenarios}
-        mio.write_bank_shard(out, shard_index, start, thetas[start:stop],
-                             proposal_mass[start:stop], eq, traj)
+        mio.write_bank_shard(out, entry["index"], entry["first_sim_id"], thetas[part],
+                             proposal_mass[part], eq, traj)
         record.write_bytes(mio.shard_record(out, entry, config_digest))
 
     # drop shard files of an earlier, larger plan so the manifest never lists them
-    kept = {mio.shard_file("record", e["index"]) for e in shard_entries}
-    kept.update(name for e in shard_entries for name in e["files"].values())
+    kept = {mio.shard_file("record", e["index"]) for e in plan}
+    kept.update(name for e in plan for name in e["files"].values())
     for path in out.iterdir():
         if mio.SHARD_FILE.fullmatch(path.name) and path.name not in kept:
             path.unlink()
@@ -150,7 +147,7 @@ def cmd_simulate(args) -> int:
                 for s in scenarios
             },
             "config": config.to_jsonable(),
-            "shards": shard_entries,
+            "shards": plan,
         },
     )
     print(f"simulate: wrote {config.j_simulations} simulations to {out}")

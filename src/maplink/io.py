@@ -223,16 +223,20 @@ class RunConfig:
                 raise ValueError(f"config key {name!r} has the wrong type: {value!r}")
         if self.j_simulations < 1 or self.years < 1:
             raise ValueError("need at least one simulation and one year")
-        if self.delta is not None and not 0.0 < self.delta < float("inf"):
-            raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
+        for name in ("delta", "population_log_sd"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < float("inf"):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("importation_max", "pooling_min_population", "pooling_max_population",
+                     "ess_floor"):
+            if not 0.0 <= getattr(self, name) < float("inf"):
+                raise ValueError(f"{name} must lie in [0, inf), got {getattr(self, name)!r}")
         for name, least in (("histogram_bins", 1), ("simulate_shard_size", 1),
-                            ("proposal_reference_stride", 1), ("proposal_iterations", 0)):
+                            ("proposal_reference_stride", 1), ("proposal_iterations", 0),
+                            ("seed", 0), ("pilot_simulations", 0),
+                            ("pooling_max_population", self.pooling_min_population)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
-        if not 0.0 < self.population_log_sd < float("inf"):
-            raise ValueError(
-                f"population_log_sd must be positive and finite, got {self.population_log_sd!r}"
-            )
         if not 0.0 < self.elimination_threshold < 1.0:
             raise ValueError("elimination threshold must lie in (0, 1)")
         if any(not 0.0 < t <= 1.0 for t in self.probability_thresholds):
@@ -253,8 +257,8 @@ class RunConfig:
                 raise ValueError(f"model key {name!r} has the wrong type: {value!r}")
         self.model_params()  # raises on an invalid model value
         names = [s.name for s in self.scenario_objects()]
-        if len(set(names)) != len(names):
-            raise ValueError("scenario names must be unique")
+        if len(set(names)) != len(names) or any(c in n for n in names for c in "/\0"):
+            raise ValueError(f"scenario names must be unique and hold no '/' or NUL, got {names}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
@@ -467,6 +471,12 @@ def shard_entry(index: int, first_sim_id: int, j: int, scenarios: Sequence[str])
     return {"index": index, "first_sim_id": first_sim_id, "j": j, "files": files}
 
 
+def shard_plan(j: int, shard_size: int, scenarios: Sequence[str]) -> list[dict]:
+    """The manifest entry of every shard of ``j`` simulations in shards of ``shard_size``."""
+    return [shard_entry(index, start, min(shard_size, j - start), scenarios)
+            for index, start in enumerate(range(0, j, shard_size))]
+
+
 def shard_record(directory: Path, entry: dict, config_digest: str) -> bytes | None:
     """The bytes of shard ``entry``'s record: the entry, the bank settings' ``config_digest``
     and each file's SHA-256 in ``directory``; ``None`` when a file is missing."""
@@ -514,51 +524,42 @@ def write_bank_shard(
     return entry
 
 
-def _bank_shards(directory: Path, manifest: dict) -> list[dict]:
-    """The manifest's shards in index order, after they check as one bank of this schema.
+def _first_difference(got: dict, want: dict) -> str:
+    """The first key, in ``want``'s order and then ``got``'s, whose values differ."""
+    return next(k for k in [*want, *got] if got.get(k) != want.get(k))
 
-    Shards 0 to n-1 hold simulations 0 to j-1 in turn, at least one each,
-    and name the files of their ``shard_entry``, each with a checksum.
-    """
+
+def _bank_shards(directory: Path, manifest: dict) -> list[dict]:
+    """The ``shard_plan`` of the manifest's ``j`` in shards of the first shard's size, after the
+    manifest's shards check as it, in index order, and each of their files has a checksum."""
     where = directory / "manifest.json"
     if manifest.get("schema") != SCHEMA_VERSIONS["bank"]:
         raise ValueError(f"{where}: schema is {manifest.get('schema')!r}, expected "
                          f"{SCHEMA_VERSIONS['bank']!r}; rebuild the bank with `maplink simulate`")
-    shards = manifest.get("shards")
-    if not (isinstance(shards, list) and shards and all(
-            isinstance(s, dict) and isinstance(s.get("files"), dict)
-            and all(_has_type(s.get(key), int) for key in ("index", "first_sim_id", "j"))
-            for s in shards)):
-        raise ValueError(f"{where}: needs a list of shards, each with an integer index, "
-                         f"first_sim_id and j, and its files")
-    shards = sorted(shards, key=lambda s: s["index"])
-    if [s["index"] for s in shards] != list(range(len(shards))):
-        raise ValueError(f"{where}: shard indices are {[s['index'] for s in shards]}, "
-                         f"expected 0 to {len(shards) - 1}")
     names = manifest.get("scenarios")
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
         raise ValueError(f"{where}: scenarios are {names!r}, expected a list of names")
-    held = 0
-    for shard in shards:
-        name = f"{where}: shard {shard['index']}"
-        if shard["first_sim_id"] != held:
-            raise ValueError(f"{name}: first_sim_id is {shard['first_sim_id']}, but the "
-                             f"shards before it hold {held} simulations")
-        if shard["j"] < 1:
-            raise ValueError(f"{name}: j is {shard['j']}, but a shard holds at least one")
-        files = shard_entry(shard["index"], held, shard["j"], names)["files"]
-        if shard["files"] != files:
-            key = min(k for k in files.keys() | shard["files"].keys()
-                      if shard["files"].get(k) != files.get(k))
-            raise ValueError(f"{name}: files: {key} is {shard['files'].get(key)!r}, "
-                             f"expected {files.get(key)!r}")
-        unlisted = [f for f in shard["files"].values() if f not in manifest.get("checksums", {})]
+    shards, j = manifest.get("shards"), manifest.get("j")
+    if not (isinstance(shards, list) and shards and isinstance(shards[0], dict)
+            and _has_type(shards[0].get("j"), int) and shards[0]["j"] >= 1 and _has_type(j, int)):
+        raise ValueError(f"{where}: needs integer j and shards, the first with integer j >= 1")
+    size = shards[0]["j"]
+    if len(shards) != (count := -(-j // size)):
+        raise ValueError(f"{where}: {len(shards)} shards of {size}, but j = {j} takes {count}")
+    plan = shard_plan(j, size, names)
+    for shard, entry in zip(shards, plan):
+        name = f"{where}: shard {entry['index']}"
+        if shard != entry:
+            got = shard if isinstance(shard, dict) else {}
+            key = _first_difference(got, entry)
+            if key == "files" and isinstance(got.get("files"), dict):
+                name, got, entry = f"{name}: files", got["files"], entry["files"]
+                key = _first_difference(got, entry)
+            raise ValueError(f"{name}: {key} is {got.get(key)!r}, expected {entry.get(key)!r}")
+        unlisted = [f for f in entry["files"].values() if f not in manifest.get("checksums", {})]
         if unlisted:
             raise ValueError(f"{name}: {unlisted[0]} has no checksum")
-        held += shard["j"]
-    if manifest.get("j") != held:
-        raise ValueError(f"{where}: j is {manifest.get('j')!r}, but the shards hold {held}")
-    return shards
+    return plan
 
 
 def load_simulation_bank(directory: Path) -> tuple[SimulationBank, dict]:
@@ -571,13 +572,13 @@ def load_simulation_bank(directory: Path) -> tuple[SimulationBank, dict]:
     directory = Path(directory)
     manifest = load_manifest(directory, verify=False)
     shards = _bank_shards(directory, manifest)
-    j = shards[-1]["first_sim_id"] + shards[-1]["j"]
+    j = manifest["j"]
     columns = {"population": np.empty(j, np.int64), "proposal_mass": np.empty(j),
                "equilibrium": np.empty(j)}
     headers, read = {}, set()
     for shard in shards:
         start, stop = shard["first_sim_id"], shard["first_sim_id"] + shard["j"]
-        for key, name in shard["files"].items():
+        for key, name in sorted(shard["files"].items()):  # key order, as in the manifest
             if key == "params":
                 continue
             path, at = directory / name, f"shard {shard['index']}"

@@ -75,7 +75,7 @@ class WeightVector:
     """
 
     weights: np.ndarray
-    ess: float = field(default=0.0)
+    ess: float = field(init=False)
     dropped_map_fraction: float = 0.0
     clamp_count: int = 0
 

@@ -294,6 +294,25 @@ def test_run_config_rejects_bad_weighting_setting(override, key):
         mio.RunConfig(**override)
 
 
+@pytest.mark.parametrize("override, named", [
+    ({"pooling_min_population": float("nan")},
+     "pooling_min_population must lie in [0, inf), got nan"),
+    ({"pooling_min_population": -1.0}, "pooling_min_population must lie in [0, inf), got -1.0"),
+    ({"pooling_max_population": float("inf")},
+     "pooling_max_population must lie in [0, inf), got inf"),
+    ({"pooling_min_population": 2e4},
+     "pooling_max_population must be at least 20000.0, got 10000.0"),
+    ({"ess_floor": float("nan")}, "ess_floor must lie in [0, inf), got nan"),
+    ({"ess_floor": -1.0}, "ess_floor must lie in [0, inf), got -1.0"),
+    ({"pilot_simulations": -3}, "pilot_simulations must be at least 0, got -3"),
+], ids=["min-nan", "min-negative", "max-infinite", "min-above-max", "ess-floor-nan",
+        "ess-floor-negative", "pilots-negative"])
+def test_run_config_refuses_a_value_that_would_silently_change_results(override, named):
+    # with a NaN bound or floor every comparison is false: nothing is pooled or flagged
+    with pytest.raises(ValueError, match=re.escape(named)):
+        mio.RunConfig(**override)
+
+
 def test_run_config_scenario_objects():
     config = mio.RunConfig()
     scenarios = config.scenario_objects()
@@ -553,6 +572,20 @@ def test_cli_weight_rejects_bad_delta_override(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "delta" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fail_on_warnings, code", [(True, 2), (False, 0)])
+def test_cli_weight_exits_2_on_warnings_only_when_asked(tmp_path, fail_on_warnings, code):
+    # no unit of a 10-simulation bank reaches an ESS of a million, so each is flagged
+    config = write_config(tmp_path, ess_floor=1e6, fail_on_warnings=fail_on_warnings)
+    bank_dir = tmp_path / "bank"
+    main(["simulate", "--config", str(config), "--out", str(bank_dir)])
+    out = tmp_path / "weights"
+    assert main(["weight", "--config", str(config), "--bank", str(bank_dir),
+                 "--pixels", str(make_pixel_file(tmp_path)), "--out", str(out),
+                 "--delta", "0.25"]) == code
+    caught = mio.load_manifest(out)["warnings"]
+    assert caught and all("low effective sample size" in w for w in caught), caught
 
 
 def test_cli_weight_names_unit_whose_samples_miss_the_bank(tmp_path, capsys):
@@ -997,15 +1030,38 @@ def _set_item(key, value, shard=None):
     return change
 
 
+def _resplit_shards(sizes):
+    """An edit moving the bank's simulations, in order, into shards of ``sizes``, its manifest
+    and checksums to match."""
+    def edit(bank_dir):
+        payload = json.loads((bank_dir / "manifest.json").read_text())
+        starts = np.cumsum([0, *sizes[:-1]])
+        for key in payload["shards"][0]["files"].keys() - {"params"}:
+            names = [shard["files"][key] for shard in payload["shards"]]
+            arrays = np.split(np.concatenate([np.load(bank_dir / n) for n in names]), starts[1:])
+            for name, array in zip(names, arrays):
+                np.save(bank_dir / name, array)
+        for shard, start, size in zip(payload["shards"], starts, sizes):
+            shard.update(first_sim_id=int(start), j=size)
+        mio.write_manifest(bank_dir, payload)
+    return edit
+
+
 @pytest.mark.parametrize("edit, named", [
     (_edit_manifest(_set_item("schema", "maplink/bank v1")),
      "schema is 'maplink/bank v1', expected 'maplink/bank v2'; rebuild the bank with "
      "`maplink simulate`"),
     (_edit_manifest(lambda payload: payload["checksums"].pop("equilibrium_s0001.npy")),
      "shard 1: equilibrium_s0001.npy has no checksum"),
-    (_edit_manifest(_set_item("index", 5, shard=1)), "shard indices are [0, 2, 5]"),
+    (_edit_manifest(_set_item("index", 5, shard=1)), "shard 1: index is 5, expected 1"),
     (_edit_manifest(_set_item("first_sim_id", 5, shard=1)), "shard 1: first_sim_id is 5"),
-    (_edit_manifest(_set_item("j", 11)), "j is 11, but the shards hold 10"),
+    (_edit_manifest(_set_item("j", 11)), "shard 2: j is 2, expected 3"),
+    (_edit_manifest(_set_item("j", 13)), "3 shards of 4, but j = 13 takes 4"),
+    (_edit_manifest(lambda payload: payload["shards"].insert(0, payload["shards"].pop(1))),
+     "shard 0: index is 1, expected 0"),
+    (_resplit_shards([4, 3, 3]), "shard 1: j is 3, expected 4"),
+    (_edit_manifest(lambda payload: payload.update(shards=payload["shards"][:2] + ["a shard"])),
+     "shard 2: index is None, expected 2"),
     (_edit_manifest(lambda payload: payload.pop("scenarios")), "scenarios are None"),
     (_edit_manifest(lambda payload: payload["shards"][1].pop("files")), "files"),
     (_edit_manifest(lambda payload: payload["shards"][2]["files"].pop("traj_none")),
@@ -1027,7 +1083,8 @@ def _set_item(key, value, shard=None):
         path.read_bytes()[:-8])), "s0001.npy: 24 bytes of data, but a (4,) array"),
     (_rewrite_shard_file("equilibrium_s0001.npy", lambda path: path.write_bytes(b"an array")),
      "s0001.npy: the magic string is not correct"),
-], ids=["schema", "unlisted-file", "indices-gap", "sim-ids-gap", "j-sum", "no-scenarios",
+], ids=["schema", "unlisted-file", "indices-gap", "sim-ids-gap", "j-sum", "shard-count",
+        "shards-out-of-order", "uneven-shards", "shard-not-an-object", "no-scenarios",
         "no-files", "files-differ", "files-of-another-shard", "array-rows", "params-rows",
         "proposal-mass-infinite", "array-of-objects", "array-of-strings", "array-truncated", "not-an-array"])
 def test_cli_weight_refuses_a_malformed_bank_naming_directory_and_shard(tmp_path, capsys, edit,
@@ -1125,13 +1182,30 @@ def test_cli_refuses_a_config_that_is_not_a_json_object(tmp_path, capsys, text):
     ({"bogus": 1}, "unknown config keys: ['bogus']"),
     ({"j_simulations": "x"}, "config key 'j_simulations' has the wrong type: 'x'"),
     ({"scenarios": [{"name": "a", "kind": "annual"}]}, "has no 'coverage'"),
-], ids=["unknown-key", "wrong-type", "scenario-without-coverage"])
+    ({"seed": -1}, "seed must be at least 0, got -1"),
+    ({"importation_max": float("inf")}, "importation_max must lie in [0, inf), got inf"),
+    ({"importation_max": -0.001}, "importation_max must lie in [0, inf), got -0.001"),
+    ({"scenarios": [{"name": "a/b", "kind": "none"}]},
+     "scenario names must be unique and hold no '/' or NUL, got ['a/b']"),
+    ({"scenarios": [{"name": "a\0b", "kind": "none"}]},
+     "scenario names must be unique and hold no '/' or NUL, got ['a\\x00b']"),
+], ids=["unknown-key", "wrong-type", "scenario-without-coverage", "negative-seed",
+        "infinite-importation", "negative-importation", "scenario-name-with-slash",
+        "scenario-name-with-nul"])
 def test_cli_config_errors_name_the_file(tmp_path, capsys, payload, named):
     config, out = tmp_path / "config.json", tmp_path / "out"
     config.write_text(json.dumps(payload))
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {config}: ") and named in err[0], err
+    assert not out.exists()
+
+
+def test_cli_simulate_refuses_a_negative_seed_override_before_writing(tmp_path, capsys):
+    out = tmp_path / "bank"
+    assert main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(out),
+                 "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be at least 0, got -1"]
     assert not out.exists()
 
 

@@ -435,6 +435,12 @@ def test_weight_vector_validates():
     assert wv.ess == pytest.approx(ess([0.25, 0.75]))
 
 
+def test_weight_vector_takes_no_ess():
+    # the ESS is always computed from the weights, so passing one is an error, not ignored
+    with pytest.raises(TypeError, match="ess"):
+        WeightVector(weights=np.array([0.25, 0.75]), ess=123.0)
+
+
 def test_apply_ernd_dispatch_auto_delta():
     rng = np.random.default_rng(3)
     sims = rng.uniform(size=50)
