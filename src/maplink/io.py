@@ -688,6 +688,9 @@ def load_weights(directory: Path) -> list[PixelWeights]:
     directory's manifest; the arrays are read-only."""
     directory = Path(directory)
     manifest = load_manifest(directory, verify=False)
+    if manifest.get("schema") != SCHEMA_VERSIONS["weights"]:
+        raise ValueError(f"{directory / 'manifest.json'}: schema is {manifest.get('schema')!r}, "
+                         f"expected {SCHEMA_VERSIONS['weights']!r}; write it with `maplink weight`")
     names = ("indices.npy", "values.npy", "offsets.npy", "units.csv")
     checksums = manifest.get("checksums", {})
     data = {name: _read_checked(directory / name, checksums.get(name)) for name in names}

@@ -154,17 +154,25 @@ def stable_order(values) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class CdfSupport(NamedTuple):
-    """The jump points of an empirical cdf and each sample's point."""
+    """The jump points of an empirical cdf, each sample's point and the samples' stable order."""
 
-    points: np.ndarray  # the distinct values, ascending
+    points: np.ndarray  # distinct values, ascending, among them every sample's
     index: np.ndarray  # each sample's point, in the order of the samples
+    order: np.ndarray  # the stable order of the samples
+
+    def split(self, at: int) -> tuple["CdfSupport", "CdfSupport"]:
+        """Supports of the samples before ``at`` and of the rest, on these points; no re-sort."""
+        tail = self.order >= at
+        return (CdfSupport(self.points, self.index[:at], self.order[~tail]),
+                CdfSupport(self.points, self.index[at:], self.order[tail] - at))
 
 
 def cdf_support(values) -> CdfSupport:
     """The :class:`CdfSupport` of ``values``, a non-empty 1-d array without NaN.
 
-    Each point is the first of its run of equal values in the stable order,
-    so -0.0 or 0.0, whichever comes first.
+    Each point is the first of its run of equal values in the stable order, so
+    -0.0 or 0.0, whichever comes first.  Samples sorted together share it via
+    :meth:`CdfSupport.split`, exactly: zero mass changes no partial sum.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
@@ -179,7 +187,7 @@ def cdf_support(values) -> CdfSupport:
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
     index = np.empty(ordered.size, dtype=np.intp)
     index[order] = np.cumsum(new) - 1
-    return CdfSupport(ordered[new], index)
+    return CdfSupport(ordered[new], index, order)
 
 
 @dataclass(frozen=True)
@@ -198,12 +206,12 @@ class StepCdf:
     def from_samples(cls, values, weights=None) -> "StepCdf":
         """Weighted empirical cdf; duplicate values are merged into one jump.
 
-        ``values`` must be a non-empty 1-d array without NaN, or its
-        :func:`cdf_support`, so that several weightings of the same values
-        share one sort.  ``weights``, if given, is one finite non-negative
-        weight per value with a positive sum.
+        ``values`` must be a non-empty 1-d array without NaN, or a
+        :class:`CdfSupport` of them, so that several weightings of the same
+        values share one sort.  ``weights``, if given, is one finite
+        non-negative weight per value with a positive sum.
         """
-        points, index = values if isinstance(values, CdfSupport) else cdf_support(values)
+        points, index, _ = values if isinstance(values, CdfSupport) else cdf_support(values)
         if weights is None:
             weights = np.full(index.size, 1.0 / index.size)
         else:
@@ -242,11 +250,15 @@ class StepCdf:
 def _on_union(first: StepCdf, second: StepCdf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The union of both cdfs' jump points, ascending, and each cdf's value there.
 
-    Each cdf's points are one sorted run, so the stable argsort of the two
-    runs end to end is a single timsort merge.  A point in both runs comes
-    first from ``first``, then from ``second``; each cdf is read at the last
-    copy, where its count of points up to and including the value is whole.
+    Cdfs on one shared support (one ``points`` array) are on it already,
+    exactly: a point of the other's samples adds zero to ``cum``.  Else each
+    cdf's points are one sorted run, so the stable argsort of the two runs end
+    to end is a single timsort merge.  A point in both runs comes first from
+    ``first``, then from ``second``; each cdf is read at the last copy, where
+    its count of points up to it is whole.
     """
+    if first.points is second.points:
+        return first.points, first.cum, second.cum
     both = np.concatenate((first.points, second.points))
     order = np.argsort(both, kind="stable")
     merged = both[order]
@@ -349,20 +361,21 @@ def prepare_ernd(
 ) -> PreparedErnd:
     """Check a setting and build the ``kind`` estimator's parts that depend on ``sims`` alone.
 
-    ``sims`` is the array of simulated prevalences.  The distance
-    estimator's window width is ``delta``, which must be positive and
-    finite, or for a ``None`` delta the :func:`select_delta` choice.  As for
-    ``numpy.histogram``'s ``bins``, ``histogram_bins`` is a count of
-    equal-width bins on [0, 1] or the bin edges themselves, which must
-    increase strictly from 0 to 1.  Each kind ignores the other's setting.
+    ``sims`` is the simulated prevalences or their :class:`CdfSupport`, whose
+    one sort every kind reuses.  The distance estimator's window width is
+    ``delta``, which must be positive and finite, or for a ``None`` delta the
+    :func:`select_delta` choice.  As for ``numpy.histogram``'s ``bins``,
+    ``histogram_bins`` is a count of equal-width bins on [0, 1] or the bin
+    edges themselves, which must increase strictly from 0 to 1.  Each kind
+    ignores the other's setting.
     """
-    values = _prevalences(sims)
+    values = _prevalences(sims.points[sims.index] if isinstance(sims, CdfSupport) else sims)
+    points, index, order = sims if isinstance(sims, CdfSupport) else cdf_support(values)
     if kind == "distance":
-        delta = delta if delta is not None else select_delta(values)
+        sorted_values = values[order]
+        delta = delta if delta is not None else select_delta(sorted_values)
         if not 0.0 < delta < np.inf:
             raise ValueError(f"delta must be positive and finite, got {delta!r}")
-        order = stable_order(values)
-        sorted_values = values[order]
         lo, hi = _window_bounds(sorted_values, sorted_values, delta)
         return PreparedErnd(kind, values, (order, sorted_values, lo, hi), delta=delta)
     if kind == "histogram":
@@ -370,10 +383,11 @@ def prepare_ernd(
                  else np.asarray(histogram_bins, dtype=float))
         if edges.size < 2 or edges[0] != 0.0 or edges[-1] != 1.0 or np.any(np.diff(edges) <= 0):
             raise ValueError("histogram_bins edges must increase strictly from 0 to 1")
-        return PreparedErnd(kind, values, (_bin_index(values, edges),), edges=edges)
+        return PreparedErnd(kind, values, (_bin_index(points, edges)[index],), edges=edges)
     if kind == "discrepancy":
-        points, index = cdf_support(values)
-        return PreparedErnd(kind, values, (points, index, np.bincount(index)))
+        taken = np.bincount(index, minlength=points.size) > 0  # split parts share points
+        index = (np.cumsum(taken) - 1)[index]
+        return PreparedErnd(kind, values, (points[taken], index, np.bincount(index)))
     raise ValueError(f"unknown ERND kind {kind!r}")
 
 

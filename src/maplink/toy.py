@@ -145,17 +145,16 @@ def _cell_report(
     map_cdf: StepCdf,
     draws: ToyDraws,
     w1: np.ndarray,
-    support: CdfSupport,
+    bank: CdfSupport,
     ernd_kind: str,
     delta_policy: float | None,
     seed_id: int,
 ) -> ToyExperimentReport:
-    sims = draws.prevalence
     delta: float | None = None
     if ernd_kind == "distance":
-        delta = float(delta_policy) if delta_policy is not None else select_delta(sims)
-    w2 = apply_ernd(pixel, prepare_ernd(sims, ernd_kind, delta), w1)
-    sim_cdf = StepCdf.from_samples(support, weights=w2.weights)
+        delta = float(delta_policy) if delta_policy is not None else select_delta(draws.prevalence)
+    w2 = apply_ernd(pixel, prepare_ernd(bank, ernd_kind, delta), w1)
+    sim_cdf = StepCdf.from_samples(bank, weights=w2.weights)
     return ToyExperimentReport(
         ks=ks_distance(map_cdf, sim_cdf),
         isd=integrated_squared_distance(map_cdf, sim_cdf),
@@ -181,9 +180,13 @@ def run_toy_experiment(
     width per replicate from the simulated prevalences (the automatic rule);
     a float fixes it.  Replicates get independent child seeds from ``seed``,
     so they can be reproduced or distributed in any order.  Replicate i of
-    every cell draws the same pixel, and of every cell of one proposal the
-    same bank, drawn from the generator as it stood after the pixel, so each
-    is drawn, checked and sorted once.
+    every cell draws the same pixel, and of every cell of one proposal the same
+    bank, drawn from the generator as it stood after the pixel, so each is
+    drawn and checked once.  Per proposal the pixel and the bank are sorted
+    together into one :func:`cdf_support`: every cdf sits on its points, so the
+    distances need no merge, and its bank part prepares each estimator.  The
+    reports are the same bits as with a sort per array, as a cdf's zero mass at
+    the other samples' points changes no partial sum.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
@@ -196,7 +199,6 @@ def run_toy_experiment(
         rng = np.random.default_rng(child)
         pixel = toy_target_sampler(m, rng)
         after_pixel = rng.bit_generator.state
-        map_cdf = StepCdf.from_samples(pixel)
         for proposal_kind in ("prior", "uniform"):
             rng.bit_generator.state = after_pixel  # each proposal draws as if it came first
             if proposal_kind == "prior":
@@ -204,10 +206,11 @@ def run_toy_experiment(
             else:
                 draws = sample_toy_uniform_proposal(j, rng)
             w1 = toy_stage1_weights(draws)
-            support = cdf_support(draws.prevalence)
+            own, bank = cdf_support(np.concatenate((pixel, draws.prevalence))).split(m)
+            map_cdf = StepCdf.from_samples(own)
             for ernd_kind in ("distance", "histogram", "discrepancy"):
                 reports[proposal_kind, ernd_kind].append(_cell_report(
-                    pixel, map_cdf, draws, w1, support, ernd_kind, delta_policy, i))
+                    pixel, map_cdf, draws, w1, bank, ernd_kind, delta_policy, i))
     return [report for cell in TOY_CELLS for report in reports[cell]]
 
 

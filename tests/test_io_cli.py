@@ -1124,6 +1124,27 @@ def test_cli_project_refuses_a_trajectory_that_is_not_a_prevalence(tmp_path, cap
     assert not (tmp_path / "s").exists()
 
 
+def test_cli_project_refuses_weights_whose_manifest_has_another_schema(tmp_path, capsys):
+    # toy-validate into a weight output leaves its files but rewrites the
+    # manifest as a toy table's, whose checksums still match the weight files
+    config = write_config(tmp_path)
+    bank_dir = tmp_path / "bank"
+    main(["simulate", "--config", str(config), "--out", str(bank_dir)])
+    weights = tmp_path / "weights"
+    main(["weight", "--config", str(config), "--bank", str(bank_dir),
+          "--pixels", str(make_pixel_file(tmp_path)), "--out", str(weights), "--delta", "0.25"])
+    assert main(["toy-validate", "--out", str(weights), "--m", "200", "--j", "200",
+                 "--replicates", "1", "--seed", "4"]) == 0
+    capsys.readouterr()
+    assert main(["project", "--config", str(config), "--bank", str(bank_dir),
+                 "--weights", str(weights), "--out", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        f"error: {weights / 'manifest.json'}: schema is 'maplink/toy-table v1', "
+        f"expected 'maplink/weights v1'"), err
+    assert not (tmp_path / "s").exists()
+
+
 def test_cli_toy_validate_writes_table(tmp_path):
     out = tmp_path / "toy"
     assert main(

@@ -252,3 +252,27 @@ def test_cli_leaves_file_formats_to_io():
         and getattr(node, "id", getattr(node, "attr", None)) == "sha256_file"
     ]
     assert found == []
+
+
+# the benchmark's tracer swaps these names in maplink.toy for timed wrappers;
+# a call through another name (`reweight.ks_distance`, an alias) would go
+# untimed and its metric would read 0 without a word
+TOY_TRACED_CALLS = ("apply_ernd", "integrated_squared_distance", "ks_distance", "select_delta")
+
+
+def test_toy_calls_the_traced_names_by_its_own_names():
+    path = Path(maplink.__file__).parent / "toy.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "reweight"
+        for alias in node.names
+        if alias.asname is None
+    }
+    called = {
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert [name for name in TOY_TRACED_CALLS if name not in imported & called] == []

@@ -10,7 +10,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import maplink.toy
@@ -20,6 +20,7 @@ from maplink.reweight import (
     CdfSupport,
     DegenerateWeightsError,
     StepCdf,
+    _on_union,
     cdf_support,
     histogram_ernd,
     integrated_squared_distance,
@@ -120,13 +121,20 @@ def test_toy_reports_match_the_reference(monkeypatch, ernd_kind, proposal_kind):
     setting = dict(m=400, j=300, replicates=4, seed=7)
     cell = TOY_CELLS.index((proposal_kind, ernd_kind))
     ours = run_toy_experiment(**setting)[4 * cell:4 * (cell + 1)]
-    for name in ("ks_distance", "integrated_squared_distance", "select_delta", "prepare_ernd"):
+    for name in ("ks_distance", "integrated_squared_distance", "select_delta"):
         monkeypatch.setattr(maplink.toy, name, getattr(reference, name))
-    # the reference cdf sorts its values each time, so it is given them back
-    # for a shared support; they differ only in which of -0.0 and 0.0 a tie holds
+
+    # the reference cdf and preparation sort their values each time, so they are
+    # given them back for a shared support; they differ only in which of -0.0
+    # and 0.0 a tie holds
+    def values(sims):
+        return sims.points[sims.index] if isinstance(sims, CdfSupport) else sims
+
+    monkeypatch.setattr(maplink.toy, "prepare_ernd",
+                        lambda sims, *args: reference.prepare_ernd(values(sims), *args))
     monkeypatch.setattr(maplink.toy, "StepCdf", types.SimpleNamespace(
-        from_samples=lambda values, weights=None: reference.StepCdf.from_samples(
-            values.points[values.index] if isinstance(values, CdfSupport) else values, weights)))
+        from_samples=lambda sims, weights=None: reference.StepCdf.from_samples(
+            values(sims), weights)))
     assert ours == run_toy_experiment(**setting)[4 * cell:4 * (cell + 1)]
 
 
@@ -142,11 +150,43 @@ def test_step_cdf_on_a_shared_support_matches_the_stable_order_copy(values, weig
     for got in (StepCdf.from_samples(values, weights), StepCdf.from_samples(support, weights)):
         assert _same(got.points, want.points) and _same(got.cum, want.cum)
     # each value's index names its point, and of -0.0 and 0.0 the first one drawn
-    points, index = support
+    points, index, _ = support
     assert np.array_equal(points[index], values)
     zeros = np.flatnonzero(values == 0.0)
     if zeros.size:
         assert _same(points[index[zeros[:1]]], values[zeros[:1]])
+
+
+# ties, lattice values, both zeros and any value in [0, 1]
+SHARED = st.one_of(TIED, st.integers(0, 8).map(lambda k: k / 8), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(SHARED, min_size=1, max_size=60), st.lists(SHARED, min_size=1, max_size=60),
+       st.one_of(st.none(), st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e6)))))
+@example([0.0], [-0.0], None)
+@example([-0.0], [0.0, 0.5], None)
+@example([0.5], [0.25], [3.0])
+@example([0.25, 0.25], [0.25], None)
+def test_cdf_distances_on_a_shared_support_match_own_supports_and_the_reference(
+        map_values, sims, weights):
+    map_values = np.array(map_values, dtype=float)
+    sims, weights = _samples(sims, weights)
+    own, bank = cdf_support(np.concatenate((map_values, sims))).split(map_values.size)
+    shared = StepCdf.from_samples(own), StepCdf.from_samples(bank, weights)
+    apart = StepCdf.from_samples(map_values), StepCdf.from_samples(sims, weights)
+    theirs = (reference.StepCdf.from_samples(map_values),
+              reference.StepCdf.from_samples(sims, weights))
+    # each cdf on the shared points holds the value its own cdf has there
+    grid, f, h = _on_union(*shared)
+    assert grid is shared[0].points
+    assert _same(f, apart[0](grid)) and _same(h, apart[1](grid))
+    for ours, reference_distance in ((ks_distance, reference.ks_distance),
+                                     (integrated_squared_distance,
+                                      reference.integrated_squared_distance)):
+        want = np.float64(reference_distance(*theirs))
+        assert _same(np.float64(ours(*shared)), want)
+        assert _same(np.float64(ours(*apart)), want)
 
 
 # samples on the edges of 100 equal-width bins or of a few uneven ones, and at both

@@ -5,6 +5,7 @@ import pytest
 
 import reference
 from maplink.reweight import (
+    DegenerateWeightsError,
     StepCdf,
     distance_ernd,
     integrated_squared_distance,
@@ -196,13 +197,38 @@ def test_discrepancy_attains_minimum_isd_each_replicate():
 
 # --- the six cells on one draw per replicate --------------------------------------
 
+# the original setting, then one-replicate runs with a one-sample pixel, a
+# three-simulation bank, or both, so that the union of pixel and bank and the
+# bank's one sort meet degenerate supports
+EDGE_SETTINGS = [dict(m=300, j=200, replicates=5, seed=21)] + [
+    dict(m=m, j=j, replicates=1, seed=seed)
+    for m, j in ((1, 300), (2000, 3), (1, 3)) for seed in range(4)]
+
+
+def _reports_or_degenerate(run):
+    # a one-sample pixel often misses every window or bin; a run must then
+    # fail as a run of the cells one by one does
+    try:
+        return run()
+    except DegenerateWeightsError:
+        return "degenerate"
+
+
 @pytest.mark.parametrize("delta_policy", [None, 0.05], ids=["all-auto-delta", "all-delta-0.05"])
 def test_cells_match_the_per_cell_reference_runs(delta_policy):
     # replicate i of every cell draws the pixel, and of one proposal's cells
     # the bank, that a run of that cell alone draws
-    setting = dict(m=300, j=200, replicates=5, delta_policy=delta_policy, seed=21)
-    want = [report
+    reached = []
+    for setting in EDGE_SETTINGS:
+        setting = dict(setting, delta_policy=delta_policy)
+        want = _reports_or_degenerate(lambda: [
+            report
             for proposal_kind, ernd_kind in TOY_CELLS
             for report in reference.run_toy_experiment(
-                ernd_kind=ernd_kind, proposal_kind=proposal_kind, **setting)]
-    assert run_toy_experiment(**setting) == want
+                ernd_kind=ernd_kind, proposal_kind=proposal_kind, **setting)])
+        assert _reports_or_degenerate(lambda: run_toy_experiment(**setting)) == want, setting
+        if want != "degenerate":
+            reached.append((setting["m"], setting["j"]))
+    # the edge settings reach the reports, bar a one-sample pixel against a
+    # bank of three, which misses every occupied histogram bin at these seeds
+    assert set(reached) == {(300, 200), (1, 300), (2000, 3)}
