@@ -46,40 +46,26 @@ def _simulate_one(shared, sim_index: int):
     numbers.
     """
     thetas, params, scenarios, seed_pairs = shared
-    theta = thetas[sim_index]
-    eq_seed, scenario_seed = seed_pairs[sim_index]
+    theta, (eq_seed, scenario_seed) = thetas[sim_index], seed_pairs[sim_index]
     prevalence, state = run_to_equilibrium(theta, params, np.random.default_rng(eq_seed))
-    trajectories = {}
-    for scenario in scenarios:
-        trajectories[scenario.name] = run_scenario(
-            state, scenario, theta, params, np.random.default_rng(scenario_seed)
-        )
-    return prevalence, trajectories
+    return prevalence, {s.name: run_scenario(state, s, theta, params,
+                                             np.random.default_rng(scenario_seed))
+                        for s in scenarios}
 
 
 def cmd_simulate(args) -> int:
     config = _run_config(args, seed=args.seed)
     params = config.model_params()
     grid = load_vh_k_grid(config.vh_k_grid_path) if config.vh_k_grid_path else default_vh_k_grid()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     population_proposal = adapt_population_proposal(
-        config.population_log_sd,
-        population_range=config.population_range,
-        iterations=config.proposal_iterations,
-        tail_to=config.population_tail_to,
+        config.population_log_sd, population_range=config.population_range,
+        iterations=config.proposal_iterations, tail_to=config.population_tail_to,
         reference_stride=config.proposal_reference_stride,
     )
-    mio.save_population_proposal(out / "population_proposal.csv", population_proposal)
+    mio.start_bank(args.out, population_proposal)
 
-    thetas = sample_bank(
-        population_proposal,
-        grid,
-        j=config.j_simulations,
-        seed=config.seed,
-        importation_max=config.importation_max,
-    )
+    thetas = sample_bank(population_proposal, grid, j=config.j_simulations, seed=config.seed,
+                         importation_max=config.importation_max)
     proposal_mass = population_proposal.density(
         np.array([t.population for t in thetas], dtype=np.int64)
     )
@@ -87,12 +73,8 @@ def cmd_simulate(args) -> int:
     # one (equilibrium, scenario) seed pair per simulation, spawned once here:
     # spawning mutates a SeedSequence, so spawning inside a run would tie the
     # seeds to how often, and in which process, a simulation had run before
-    seed_pairs = [
-        child.spawn(2)
-        for child in np.random.SeedSequence(config.seed).spawn(
-            config.j_simulations + config.pilot_simulations
-        )
-    ]
+    seed_pairs = [child.spawn(2) for child in np.random.SeedSequence(config.seed).spawn(
+        config.j_simulations + config.pilot_simulations)]
 
     if config.pilot_simulations > 0:
         # constant-importation pilot runs feed the per-scenario decay tables
@@ -109,62 +91,31 @@ def cmd_simulate(args) -> int:
 
     # a shard is reused only if it was written from the same bank settings
     config_digest = config.bank_digest()
-    names = [s.name for s in scenarios]
-    plan = mio.shard_plan(config.j_simulations, config.simulate_shard_size, names)
+    plan = mio.shard_plan(config.j_simulations, config.simulate_shard_size,
+                          [s.name for s in scenarios])
     for entry in plan:
-        record = out / mio.shard_file("record", entry["index"])
-        # a damaged or stale record, or a missing or changed file, means computing it again
-        if (args.resume and record.exists()
-                and record.read_bytes() == mio.shard_record(out, entry, config_digest)):
+        part = mio.shard_to_run(args.out, entry, config_digest, args.resume)
+        if part is None:
             continue
-        part = slice(entry["first_sim_id"], entry["first_sim_id"] + entry["j"])
         results = ordered_map(
             _simulate_one, (thetas[part], params, scenarios, seed_pairs[part]),
-            entry["j"], args.workers, chunksize=4,
+            len(thetas[part]), args.workers, chunksize=4,
         )
         eq = np.array([r[0] for r in results])
         traj = {s.name: np.stack([r[1][s.name] for r in results]) for s in scenarios}
-        mio.write_bank_shard(out, entry["index"], entry["first_sim_id"], thetas[part],
-                             proposal_mass[part], eq, traj)
-        record.write_bytes(mio.shard_record(out, entry, config_digest))
-
-    # drop shard files of an earlier, larger plan so the manifest never lists them
-    kept = {mio.shard_file("record", e["index"]) for e in plan}
-    kept.update(name for e in plan for name in e["files"].values())
-    for path in out.iterdir():
-        if mio.SHARD_FILE.fullmatch(path.name) and path.name not in kept:
-            path.unlink()
-    mio.write_manifest(
-        out,
-        {
-            "schema": mio.SCHEMA_VERSIONS["bank"],
-            "seed": config.seed,
-            "j": config.j_simulations,
-            "years": config.years,
-            "scenarios": names,
-            "importation_decay": {
-                s.name: list(s.importation_decay) if s.importation_decay else None
-                for s in scenarios
-            },
-            "config": config.to_jsonable(),
-            "shards": plan,
-        },
-    )
-    print(f"simulate: wrote {config.j_simulations} simulations to {out}")
+        mio.write_shard_and_record(args.out, entry, thetas[part], proposal_mass[part], eq, traj,
+                                   config_digest)
+    mio.finish_bank(args.out, config, scenarios, plan)
+    print(f"simulate: wrote {config.j_simulations} simulations to {args.out}")
     return 0
 
 
 def cmd_weight(args) -> int:
     config = _run_config(args, delta=args.delta, ernd_kind=args.ernd)
-    bank, _ = mio.load_simulation_bank(Path(args.bank))
-    pixels = mio.load_pixel_posteriors(Path(args.pixels))
-    out = Path(args.out)
-
-    units, excluded = pool_and_filter(
-        pixels,
-        min_population=config.pooling_min_population,
-        max_population=config.pooling_max_population,
-    )
+    bank, _ = mio.load_simulation_bank(args.bank)
+    pixels = mio.load_pixel_posteriors(args.pixels)
+    units, excluded = pool_and_filter(pixels, min_population=config.pooling_min_population,
+                                      max_population=config.pooling_max_population)
     weights = weight_all(units, bank, config, workers=args.workers)
     caught = [
         f"country {u.country}: pooled unit of {len(u.member_pixel_ids)} pixel(s) only reaches "
@@ -174,26 +125,10 @@ def cmd_weight(args) -> int:
     ] + [
         f"unit {w.unit_id}: low effective sample size {w.ess:.1f}" for w in weights if w.low_ess
     ]
-
-    out.mkdir(parents=True, exist_ok=True)
-    mio.save_weights(out, units, weights)
-    mio.write_excluded_pixels(out / "excluded_pixels.csv", excluded)
-    mio.write_manifest(
-        out,
-        {
-            "schema": mio.SCHEMA_VERSIONS["weights"],
-            "bank": str(args.bank),
-            "pixels": str(args.pixels),
-            "units": len(units),
-            "excluded": excluded,
-            "warnings": sorted(caught),
-            "config": config.to_jsonable(),
-        },
-    )
-    print(
-        f"weight: {len(units)} unit(s), {len(excluded)} excluded pixel(s), "
-        f"{len(caught)} warning(s) -> {out}"
-    )
+    mio.write_weight_run(args.out, args.bank, args.pixels, units, weights, excluded, caught,
+                         config)
+    print(f"weight: {len(units)} unit(s), {len(excluded)} excluded pixel(s), "
+          f"{len(caught)} warning(s) -> {args.out}")
     if caught and config.fail_on_warnings:
         return 2
     return 0
@@ -201,47 +136,21 @@ def cmd_weight(args) -> int:
 
 def cmd_project(args) -> int:
     config = _run_config(args)
-    bank, bank_manifest = mio.load_simulation_bank(Path(args.bank))
-    weights = mio.load_weights(Path(args.weights))
-    scenario_names = args.scenario or bank_manifest["scenarios"]
-    missing = [s for s in scenario_names if s not in bank.trajectories]
-    if missing:
-        raise ValueError(f"scenario(s) {missing} not present in the bank")
-    repeated = sorted({s for s in scenario_names if scenario_names.count(s) > 1})
-    if repeated:
-        raise ValueError(f"scenario(s) {repeated} given more than once")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    bank, bank_manifest = mio.load_simulation_bank(args.bank)
+    weights = mio.load_weights(args.weights)
+    scenario_names = mio.project_scenarios(bank_manifest, args.scenario)
 
-    summaries = []
+    # every summary is computed before anything is written, so a refusal leaves no --out
+    summaries = {}
     for scenario in scenario_names:
         bank.trajectory_order(scenario)  # built once here, not inside the first unit's project
-        per_scenario = [
+        summaries[scenario] = [
             project(w, bank, scenario, elimination_threshold=config.elimination_threshold)
             for w in weights
         ]
-        mio.write_summary_csv(out / f"summary_{scenario}.csv", per_scenario)
-        summaries.extend(per_scenario)
-    mio.write_elimination_csv(
-        out / "elimination.csv", summaries, config.probability_thresholds
-    )
-    mio.write_proportion_eliminated_csv(
-        out / "proportion_eliminated.csv", summaries, config.probability_thresholds
-    )
-    mio.write_population_recovery(out / "population_recovery.csv", weights, bank)
-    mio.write_manifest(
-        out,
-        {
-            "schema": mio.SCHEMA_VERSIONS["summary"],
-            "bank": str(args.bank),
-            "weights": str(args.weights),
-            "scenarios": list(scenario_names),
-            "elimination_threshold": config.elimination_threshold,
-            "probability_thresholds": list(config.probability_thresholds),
-            "config": config.to_jsonable(),
-        },
-    )
-    print(f"project: {len(summaries)} summaries over {len(scenario_names)} scenario(s) -> {out}")
+    mio.write_project_run(args.out, args.bank, args.weights, summaries, weights, bank, config)
+    print(f"project: {len(weights) * len(summaries)} summaries over {len(summaries)} "
+          f"scenario(s) -> {args.out}")
     return 0
 
 
@@ -250,21 +159,8 @@ def cmd_toy_validate(args) -> int:
                                  delta_policy=args.delta, seed=args.seed)
     n = args.replicates
     rows = [summarize_reports(reports[i:i + n]) for i in range(0, len(reports), n)]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    mio.write_toy_table(out / "toy_table.csv", rows)
-    mio.write_toy_replicates(out / "toy_replicates.csv", reports)
-    mio.write_manifest(
-        out,
-        {
-            "schema": mio.SCHEMA_VERSIONS["toy_table"],
-            "seed": args.seed,
-            "m": args.m,
-            "j": args.j,
-            "replicates": args.replicates,
-        },
-    )
-    print(f"toy-validate: {len(rows)} table cells -> {out}")
+    mio.write_toy_run(args.out, rows, reports, args.seed, args.m, args.j, args.replicates)
+    print(f"toy-validate: {len(rows)} table cells -> {args.out}")
     return 0
 
 

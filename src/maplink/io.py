@@ -53,13 +53,12 @@ __all__ = [
     "shard_file",
     "write_bank_shard",
     "write_elimination_csv",
-    "write_excluded_pixels",
     "write_manifest",
-    "write_population_recovery",
+    "write_project_run",
     "write_proportion_eliminated_csv",
     "write_summary_csv",
-    "write_toy_replicates",
-    "write_toy_table",
+    "write_toy_run",
+    "write_weight_run",
 ]
 
 SCHEMA_VERSIONS = {
@@ -331,21 +330,15 @@ _MODEL_TYPES = typing.get_type_hints(ModelParams)
 # Manifests
 # ---------------------------------------------------------------------------
 
-def write_manifest(directory: Path, payload: dict) -> Path:
+def write_manifest(directory: Path, payload: dict) -> None:
     """Deterministic JSON manifest with per-file checksums added."""
     directory = Path(directory)
-    files = sorted(
-        p.name
-        for p in directory.iterdir()
-        if p.is_file() and p.name != "manifest.json"
-    )
-    payload = dict(payload)
-    payload["checksums"] = {name: sha256_file(directory / name) for name in files}
-    path = directory / "manifest.json"
-    with open(path, "w") as fh:
+    files = sorted(p.name for p in directory.iterdir()
+                   if p.is_file() and p.name != "manifest.json")
+    payload = dict(payload, checksums={name: sha256_file(directory / name) for name in files})
+    with open(directory / "manifest.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _load_json(path: str | Path):
@@ -366,6 +359,19 @@ def load_manifest(directory: Path, verify: bool = True) -> dict:
     if verify:
         _check_unread(directory, payload, set())
     return payload
+
+
+def _run_directory(directory: Path, kind: str) -> Path:
+    """``directory``, made if missing, once the manifest it may hold reads as a ``kind`` run's of
+    any version, so a stage never writes into another stage's output but rewrites an older run."""
+    directory, stage = Path(directory), SCHEMA_VERSIONS[kind].rpartition(" v")[0]
+    if (directory / "manifest.json").exists():
+        schema = load_manifest(directory, verify=False).get("schema")
+        if str(schema).rpartition(" v")[0] != stage:
+            raise ValueError(f"{directory / 'manifest.json'}: schema is {schema!r}, not a "
+                             f"{stage!r} run's; write to another --out")
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory
 
 
 def _read_checked(path: Path, expected: str | None) -> bytes:
@@ -456,6 +462,7 @@ _COLUMN_RANGES = {
     "population": (lambda n: n >= 1, "is below 1"),
     "proposal_mass": (lambda q: (q > 0) & (q <= 1), "is not a number in (0, 1]"),
 }
+_PREVALENCE = (lambda p: (p >= 0) & (p <= 1), "is not a number in [0, 1]")  # the other columns
 
 
 def shard_file(key: str, index: int) -> str:
@@ -522,6 +529,50 @@ def write_bank_shard(
     for key, array in arrays.items():
         save_npy(directory / files[key], array)
     return entry
+
+
+def start_bank(directory: Path, proposal: TabulatedProposal) -> None:
+    """Make ``directory`` for ``simulate`` and write the population ``proposal`` into it."""
+    directory = _run_directory(directory, "bank")
+    save_population_proposal(directory / "population_proposal.csv", proposal)
+
+
+def shard_to_run(directory: Path, entry: dict, config_digest: str, resume: bool) -> slice | None:
+    """The simulations of shard ``entry`` to run, or ``None`` when ``resume`` keeps it: its record
+    holds the bytes this run would write, with the bank settings' ``config_digest``."""
+    record = Path(directory) / shard_file("record", entry["index"])
+    if resume and record.exists() and record.read_bytes() == shard_record(directory, entry,
+                                                                          config_digest):
+        return None
+    return slice(entry["first_sim_id"], entry["first_sim_id"] + entry["j"])
+
+
+def write_shard_and_record(directory: Path, entry: dict, thetas: Sequence[ParameterVector],
+                           proposal_mass: np.ndarray, equilibrium: np.ndarray,
+                           trajectories: dict[str, np.ndarray], config_digest: str) -> None:
+    """Write shard ``entry``'s files, then its ``--resume`` record, last: a killed shard has none."""
+    write_bank_shard(directory, entry["index"], entry["first_sim_id"], thetas, proposal_mass,
+                     equilibrium, trajectories)
+    record = Path(directory) / shard_file("record", entry["index"])
+    record.write_bytes(shard_record(directory, entry, config_digest))
+
+
+def finish_bank(directory: Path, config: RunConfig, scenarios: Sequence[Scenario],
+                plan: list[dict]) -> None:
+    """Delete the shard files ``plan`` does not write, such as an earlier, larger bank's, so the
+    manifest never lists them, then write the bank's manifest."""
+    directory = Path(directory)
+    kept = {shard_file("record", e["index"]) for e in plan}
+    kept.update(name for e in plan for name in e["files"].values())
+    for path in directory.iterdir():
+        if SHARD_FILE.fullmatch(path.name) and path.name not in kept:
+            path.unlink()
+    decay = {s.name: list(s.importation_decay) if s.importation_decay else None for s in scenarios}
+    write_manifest(directory, {
+        "schema": SCHEMA_VERSIONS["bank"], "seed": config.seed, "j": config.j_simulations,
+        "years": config.years, "scenarios": list(decay), "importation_decay": decay,
+        "config": config.to_jsonable(), "shards": plan,
+    })
 
 
 def _first_difference(got: dict, want: dict) -> str:
@@ -593,18 +644,32 @@ def load_simulation_bank(directory: Path) -> tuple[SimulationBank, dict]:
             if key == "population" and array.dtype.kind == "f":
                 raise ValueError(f"{path}: {at}: holds {array.dtype}, not integers")
             target[start:stop] = array
-            if key in _COLUMN_RANGES:
-                valid, fault = _COLUMN_RANGES[key]
-                bad = start + np.flatnonzero(~valid(target[start:stop]))
-                if bad.size:
-                    raise ValueError(f"{path}: {at}: {key} {target[bad[0]]} of simulation "
-                                     f"{bad[0]} {fault}")
+    for key, column in columns.items():  # one check per column: a check per shard costs more
+        valid, fault = _COLUMN_RANGES.get(key, _PREVALENCE)
+        if not (ok := valid(column)).all():
+            where = tuple(np.argwhere(~ok)[0])
+            shard = shards[where[0] // shards[0]["j"]]
+            raise ValueError(f"{directory / shard['files'][key]}: shard {shard['index']}: {key} "
+                             f"{column[where]} of simulation {where[0]} {fault}")
     _check_unread(directory, manifest, read)
     bank = SimulationBank(populations=columns.pop("population"),
                           population_proposal_mass=columns.pop("proposal_mass"),
                           equilibrium_prevalence=columns.pop("equilibrium"),
                           trajectories={key[5:]: array for key, array in columns.items()})
     return bank, manifest
+
+
+def project_scenarios(manifest: dict, requested: Sequence[str] | None) -> list[str]:
+    """The ``requested`` scenarios, or all of the bank ``manifest``'s in its order, after each
+    is checked to be in the bank and named once."""
+    names = list(requested or manifest["scenarios"])
+    missing = [s for s in names if s not in manifest["scenarios"]]
+    if missing:
+        raise ValueError(f"scenario(s) {missing} not present in the bank")
+    repeated = sorted({s for s in names if names.count(s) > 1})
+    if repeated:
+        raise ValueError(f"scenario(s) {repeated} given more than once")
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -678,9 +743,20 @@ def save_weights(directory: Path, units: Sequence[PooledUnit],
     ))
 
 
-def write_excluded_pixels(path: Path, excluded: Sequence[str]) -> None:
-    """Ids of the pixels dropped for exceeding the maximum population."""
-    _write_table(path, "excluded", ["pixel_id"], ([pixel_id] for pixel_id in excluded))
+def write_weight_run(directory: Path, bank: Path, pixels: Path, units: Sequence[PooledUnit],
+                     weights: Sequence[PixelWeights], excluded: Sequence[str],
+                     warnings: Sequence[str], config: RunConfig) -> None:
+    """Make ``directory`` and write ``weight``'s files and manifest: the ``weights`` of ``units``
+    against ``bank``, the pixels ``excluded`` as above the maximum population, the ``warnings``."""
+    directory = _run_directory(directory, "weights")
+    save_weights(directory, units, weights)
+    _write_table(directory / "excluded_pixels.csv", "excluded", ["pixel_id"],
+                 ([pixel_id] for pixel_id in excluded))
+    write_manifest(directory, {
+        "schema": SCHEMA_VERSIONS["weights"], "bank": str(bank), "pixels": str(pixels),
+        "units": len(units), "excluded": list(excluded), "warnings": sorted(warnings),
+        "config": config.to_jsonable(),
+    })
 
 
 def load_weights(directory: Path) -> list[PixelWeights]:
@@ -750,16 +826,6 @@ def write_summary_csv(path: Path, summaries: Sequence[ProjectionSummary]) -> Non
     ))
 
 
-def write_population_recovery(
-    path: Path, weights: Sequence[PixelWeights], bank: SimulationBank
-) -> None:
-    """Weighted mean simulated population and ESS per unit, by unit id."""
-    _write_table(path, "recovery", ["unit_id", "estimated_population", "ess"], (
-        [w.unit_id, _fmt(estimated_population(w, bank)), _fmt(w.ess)]
-        for w in sorted(weights, key=lambda w: w.unit_id)
-    ))
-
-
 def write_elimination_csv(
     path: Path,
     summaries: Sequence[ProjectionSummary],
@@ -794,6 +860,39 @@ def write_proportion_eliminated_csv(
     ))
 
 
+def write_project_run(directory: Path, bank_path: Path, weights_path: Path,
+                      summaries: dict[str, list[ProjectionSummary]],
+                      weights: Sequence[PixelWeights], bank: SimulationBank,
+                      config: RunConfig) -> None:
+    """Make ``directory`` and write ``project``'s files and manifest: the ``summaries`` of each
+    scenario, in order, of the ``weights`` read from ``weights_path`` on the bank at ``bank_path``.
+
+    A ``summary_<scenario>.csv`` of a scenario not in ``summaries``, left by an
+    earlier run, is deleted, so the manifest lists only this run's scenarios.
+    """
+    directory = _run_directory(directory, "summary")
+    written = {f"summary_{scenario}.csv": rows for scenario, rows in summaries.items()}
+    for name, rows in written.items():
+        write_summary_csv(directory / name, rows)
+    for path in directory.glob("summary_*.csv"):
+        if path.name not in written:
+            path.unlink()
+    every = [summary for rows in summaries.values() for summary in rows]
+    thresholds = config.probability_thresholds
+    write_elimination_csv(directory / "elimination.csv", every, thresholds)
+    write_proportion_eliminated_csv(directory / "proportion_eliminated.csv", every, thresholds)
+    _write_table(directory / "population_recovery.csv", "recovery",
+                 ["unit_id", "estimated_population", "ess"],
+                 ([w.unit_id, _fmt(estimated_population(w, bank)), _fmt(w.ess)]
+                  for w in sorted(weights, key=lambda w: w.unit_id)))
+    write_manifest(directory, {
+        "schema": SCHEMA_VERSIONS["summary"], "bank": str(bank_path),
+        "weights": str(weights_path), "scenarios": list(summaries),
+        "elimination_threshold": config.elimination_threshold,
+        "probability_thresholds": list(thresholds), "config": config.to_jsonable(),
+    })
+
+
 # ---------------------------------------------------------------------------
 # Toy benchmark table
 # ---------------------------------------------------------------------------
@@ -802,18 +901,18 @@ def write_proportion_eliminated_csv(
 _TOY_COLUMNS = [(band, q) for band in ("isd_x1000", "ess") for q in ("median", "lo", "hi", "mean")]
 
 
-def write_toy_table(path: Path, rows: Sequence[dict]) -> None:
-    """One row per (proposal, estimator) cell of ``toy.summarize_reports``."""
-    _write_table(path, "toy_table", ["proposal", "ernd"] + [f"{b}_{q}" for b, q in _TOY_COLUMNS], (
-        [row["proposal"], row["ernd"]] + [_fmt(row[b][q]) for b, q in _TOY_COLUMNS] for row in rows
-    ))
-
-
-def write_toy_replicates(path: Path, reports: Sequence[ToyExperimentReport]) -> None:
-    """One row per replicate; ``delta`` is empty where no window was used."""
-    _write_table(path, "toy_replicates", ["proposal", "ernd", "replicate", "ks", "isd", "ess",
-                                          "delta"], (
-        [r.proposal_kind, r.ernd_kind, r.replicate_seed, _fmt(r.ks), _fmt(r.isd), _fmt(r.ess),
-         "" if r.delta is None else _fmt(r.delta)]
-        for r in reports
-    ))
+def write_toy_run(directory: Path, rows: Sequence[dict], reports: Sequence[ToyExperimentReport],
+                  seed: int, m: int, j: int, replicates: int) -> None:
+    """Make ``directory`` and write ``toy-validate``'s table, one row per ``summarize_reports`` cell
+    in ``rows``, its ``reports`` (``delta`` empty where no window was used) and manifest."""
+    directory = _run_directory(directory, "toy_table")
+    _write_table(directory / "toy_table.csv", "toy_table",
+                 ["proposal", "ernd"] + [f"{b}_{q}" for b, q in _TOY_COLUMNS],
+                 ([row["proposal"], row["ernd"]] + [_fmt(row[b][q]) for b, q in _TOY_COLUMNS]
+                  for row in rows))
+    _write_table(directory / "toy_replicates.csv", "toy_replicates",
+                 ["proposal", "ernd", "replicate", "ks", "isd", "ess", "delta"],
+                 ([r.proposal_kind, r.ernd_kind, r.replicate_seed, _fmt(r.ks), _fmt(r.isd),
+                   _fmt(r.ess), "" if r.delta is None else _fmt(r.delta)] for r in reports))
+    write_manifest(directory, {"schema": SCHEMA_VERSIONS["toy_table"], "seed": seed, "m": m,
+                               "j": j, "replicates": replicates})

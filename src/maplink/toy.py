@@ -17,6 +17,7 @@ import numpy as np
 
 from .reweight import (
     CdfSupport,
+    DegenerateWeightsError,
     StepCdf,
     apply_ernd,
     cdf_support,
@@ -209,8 +210,12 @@ def run_toy_experiment(
             own, bank = cdf_support(np.concatenate((pixel, draws.prevalence))).split(m)
             map_cdf = StepCdf.from_samples(own)
             for ernd_kind in ("distance", "histogram", "discrepancy"):
-                reports[proposal_kind, ernd_kind].append(_cell_report(
-                    pixel, map_cdf, draws, w1, bank, ernd_kind, delta_policy, i))
+                try:
+                    reports[proposal_kind, ernd_kind].append(_cell_report(
+                        pixel, map_cdf, draws, w1, bank, ernd_kind, delta_policy, i))
+                except DegenerateWeightsError as err:  # named by cell, as a unit by weight_pixel
+                    cell = f"{proposal_kind} proposal, {ernd_kind} estimator, replicate {i}"
+                    raise DegenerateWeightsError(f"{cell} of seed {seed}: {err}") from err
     return [report for cell in TOY_CELLS for report in reports[cell]]
 
 

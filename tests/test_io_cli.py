@@ -200,34 +200,31 @@ def _write_every_table(directory: Path) -> dict[Path, bytes]:
     weights = [PixelWeights(unit_id=u.unit_id, bank_size=2, indices=np.array([0, 1]),
                             values=np.array([0.5, 0.5]), ess=2.0, dropped_map_fraction=0.0,
                             clamp_count=0, low_ess=False) for u in units]
-    mio.save_weights(directory / "weights", units, weights)
-    mio.write_excluded_pixels(directory / "excluded.csv", ["p8", "p9"])
+    mio.write_weight_run(directory / "weights", "bank", "pixels.csv", units, weights,
+                         ["p8", "p9"], [], mio.RunConfig())
     summaries = [ProjectionSummary(unit_id=w.unit_id, scenario="none",
                                    quantiles=np.full((3, 2), 0.1),
                                    elimination_probability=np.array([0.0, 0.5]), ess=2.0,
                                    dropped_map_fraction=0.0, low_ess=False) for w in weights]
-    mio.write_summary_csv(directory / "summary.csv", summaries)
-    mio.write_population_recovery(directory / "recovery.csv", weights, bank)
-    mio.write_elimination_csv(directory / "elimination.csv", summaries, (0.4, 0.9))
-    mio.write_proportion_eliminated_csv(directory / "proportion.csv", summaries, (0.4, 0.9))
+    mio.write_project_run(directory / "summaries", "bank", "weights", {"none": summaries},
+                          weights, bank, mio.RunConfig(probability_thresholds=(0.4, 0.9)))
     reports = [ToyExperimentReport(ks=0.1, isd=0.01, ess=50.0, delta=delta, replicate_seed=i,
                                    ernd_kind="distance", proposal_kind="prior")
                for i, delta in enumerate((0.05, None))]
-    mio.write_toy_table(directory / "toy_table.csv", [summarize_reports(reports)] * 2)
-    mio.write_toy_replicates(directory / "toy_replicates.csv", reports)
+    mio.write_toy_run(directory / "toy", [summarize_reports(reports)] * 2, reports, 0, 2, 2, 2)
     crlf, lf = b"\r\n", b"\n"
     return {
         directory / "proposal.csv": crlf,
         directory / "bank" / "params_s0000.csv": crlf,
         directory / "pixels.csv": crlf,
         directory / "weights" / "units.csv": crlf,
-        directory / "summary.csv": crlf,
-        directory / "elimination.csv": crlf,
-        directory / "proportion.csv": crlf,
-        directory / "excluded.csv": lf,
-        directory / "recovery.csv": lf,
-        directory / "toy_table.csv": lf,
-        directory / "toy_replicates.csv": lf,
+        directory / "summaries" / "summary_none.csv": crlf,
+        directory / "summaries" / "elimination.csv": crlf,
+        directory / "summaries" / "proportion_eliminated.csv": crlf,
+        directory / "weights" / "excluded_pixels.csv": lf,
+        directory / "summaries" / "population_recovery.csv": lf,
+        directory / "toy" / "toy_table.csv": lf,
+        directory / "toy" / "toy_replicates.csv": lf,
     }
 
 
@@ -242,10 +239,10 @@ def test_every_table_keeps_its_v1_line_endings(tmp_path):
 def test_proportion_eliminated_has_a_schema_line_of_its_own(tmp_path):
     # its columns differ from those of elimination.csv, so a reader must tell them apart
     _write_every_table(tmp_path)
-    schema = {name: (tmp_path / name).read_bytes().split(b"\n", 1)[0]
-              for name in ("elimination.csv", "proportion.csv")}
-    assert schema["proportion.csv"] == b"# schema: maplink/proportion-eliminated v1"
-    assert schema["proportion.csv"] != schema["elimination.csv"]
+    schema = {name: (tmp_path / "summaries" / name).read_bytes().split(b"\n", 1)[0]
+              for name in ("elimination.csv", "proportion_eliminated.csv")}
+    assert schema["proportion_eliminated.csv"] == b"# schema: maplink/proportion-eliminated v1"
+    assert schema["proportion_eliminated.csv"] != schema["elimination.csv"]
 
 
 # --- run config ------------------------------------------------------------------
@@ -740,6 +737,7 @@ def test_cli_project_refuses_weights_of_another_bank(tmp_path, capsys):
                      "--weights", str(weights_dir), "--out", str(tmp_path / "s")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: unit p") and reason in err[0]
+        assert not (tmp_path / "s").exists()  # every summary is computed before --out is made
 
 
 _UNIT_ESS = 5  # the column of ess in units.csv
@@ -1076,6 +1074,9 @@ def _resplit_shards(sizes):
         path, np.load(path) * np.inf)), "proposal_mass_s0001.npy: shard 1: proposal_mass inf "
                                         "of simulation 4 is not a number in (0, 1]"),
     (_rewrite_shard_file("equilibrium_s0001.npy", lambda path: np.save(
+        path, np.concatenate(([1.5], np.load(path)[1:])))),
+     "equilibrium_s0001.npy: shard 1: equilibrium 1.5 of simulation 4 is not a number in [0, 1]"),
+    (_rewrite_shard_file("equilibrium_s0001.npy", lambda path: np.save(
         path, np.load(path).astype(object), allow_pickle=True)), "s0001.npy: holds object"),
     (_rewrite_shard_file("equilibrium_s0001.npy", lambda path: np.save(
         path, np.load(path).astype(str))), "s0001.npy: holds <U"),
@@ -1086,7 +1087,8 @@ def _resplit_shards(sizes):
 ], ids=["schema", "unlisted-file", "indices-gap", "sim-ids-gap", "j-sum", "shard-count",
         "shards-out-of-order", "uneven-shards", "shard-not-an-object", "no-scenarios",
         "no-files", "files-differ", "files-of-another-shard", "array-rows", "params-rows",
-        "proposal-mass-infinite", "array-of-objects", "array-of-strings", "array-truncated", "not-an-array"])
+        "proposal-mass-infinite", "equilibrium-above-1", "array-of-objects", "array-of-strings",
+        "array-truncated", "not-an-array"])
 def test_cli_weight_refuses_a_malformed_bank_naming_directory_and_shard(tmp_path, capsys, edit,
                                                                         named):
     config = write_config(tmp_path)
@@ -1120,21 +1122,22 @@ def test_cli_project_refuses_a_trajectory_that_is_not_a_prevalence(tmp_path, cap
     assert main(["project", "--config", str(config), "--bank", str(bank_dir),
                  "--weights", str(weights), "--out", str(tmp_path / "s")]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: trajectory 'aMDA65': "), err
+    assert len(err) == 1 and err[0].startswith(
+        f"error: {bank_dir / 'traj_aMDA65_s0001.npy'}: shard 1: "), err
+    assert "traj_aMDA65 nan of simulation 5 is not a number in [0, 1]" in err[0], err
     assert not (tmp_path / "s").exists()
 
 
 def test_cli_project_refuses_weights_whose_manifest_has_another_schema(tmp_path, capsys):
-    # toy-validate into a weight output leaves its files but rewrites the
-    # manifest as a toy table's, whose checksums still match the weight files
+    # weight files under a toy table's manifest whose checksums still match them
     config = write_config(tmp_path)
     bank_dir = tmp_path / "bank"
     main(["simulate", "--config", str(config), "--out", str(bank_dir)])
     weights = tmp_path / "weights"
     main(["weight", "--config", str(config), "--bank", str(bank_dir),
           "--pixels", str(make_pixel_file(tmp_path)), "--out", str(weights), "--delta", "0.25"])
-    assert main(["toy-validate", "--out", str(weights), "--m", "200", "--j", "200",
-                 "--replicates", "1", "--seed", "4"]) == 0
+    mio.write_manifest(weights, dict(mio.load_manifest(weights, verify=False),
+                                     schema=mio.SCHEMA_VERSIONS["toy_table"]))
     capsys.readouterr()
     assert main(["project", "--config", str(config), "--bank", str(bank_dir),
                  "--weights", str(weights), "--out", str(tmp_path / "s")]) == 1
@@ -1143,6 +1146,78 @@ def test_cli_project_refuses_weights_whose_manifest_has_another_schema(tmp_path,
         f"error: {weights / 'manifest.json'}: schema is 'maplink/toy-table v1', "
         f"expected 'maplink/weights v1'"), err
     assert not (tmp_path / "s").exists()
+
+
+def test_cli_project_removes_summaries_of_scenarios_it_does_not_write(tmp_path):
+    config = write_config(tmp_path)
+    bank_dir, weights, out = tmp_path / "bank", tmp_path / "weights", tmp_path / "summaries"
+    main(["simulate", "--config", str(config), "--out", str(bank_dir)])
+    main(["weight", "--config", str(config), "--bank", str(bank_dir),
+          "--pixels", str(make_pixel_file(tmp_path)), "--out", str(weights), "--delta", "0.25"])
+    shared = ["--config", str(config), "--bank", str(bank_dir), "--weights", str(weights)]
+    assert main(["project", *shared, "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("kept")
+    assert main(["project", *shared, "--out", str(out), "--scenario", "none"]) == 0
+    assert not (out / "summary_aMDA65.csv").exists()
+    assert (out / "notes.txt").read_text() == "kept"  # not a summary: left alone
+    manifest = mio.load_manifest(out)
+    assert manifest["scenarios"] == ["none"]
+    assert sorted(manifest["checksums"]) == [
+        "elimination.csv", "notes.txt", "population_recovery.csv", "proportion_eliminated.csv",
+        "summary_none.csv"]
+    fresh = tmp_path / "fresh"
+    assert main(["project", *shared, "--out", str(fresh), "--scenario", "none"]) == 0
+    assert {k: v for k, v in read_all_bytes(out).items() if k not in ("notes.txt", "manifest.json")
+            } == {k: v for k, v in read_all_bytes(fresh).items() if k != "manifest.json"}
+
+
+def _weight_run(tmp_path) -> list[str]:
+    """The `weight` arguments into ``tmp_path / "out"``, with its bank made."""
+    config = write_config(tmp_path)
+    main(["simulate", "--config", str(config), "--out", str(tmp_path / "bank")])
+    return ["weight", "--config", str(config), "--bank", str(tmp_path / "bank"),
+            "--pixels", str(make_pixel_file(tmp_path)), "--out", str(tmp_path / "out")]
+
+
+def _toy_run(tmp_path) -> list[str]:
+    return ["toy-validate", "--out", str(tmp_path / "out"), "--m", "50", "--j", "50",
+            "--replicates", "1"]
+
+
+@pytest.mark.parametrize("first, second, found", [
+    (_weight_run, _toy_run, "schema is 'maplink/weights v1', not a 'maplink/toy-table' run's"),
+    (_toy_run, _weight_run, "schema is 'maplink/toy-table v1', not a 'maplink/weights' run's"),
+], ids=["toy-validate-into-weights", "weight-into-toy-table"])
+def test_cli_refuses_an_out_holding_another_stages_run(tmp_path, capsys, first, second, found):
+    assert main(first(tmp_path)) == 0
+    before = read_all_bytes(tmp_path / "out")
+    capsys.readouterr()
+    assert main(second(tmp_path)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {tmp_path / 'out' / 'manifest.json'}: {found}; write to another --out"]
+    assert read_all_bytes(tmp_path / "out") == before
+
+
+@pytest.mark.parametrize("manifest", ['{"schema": ', "[]", "{}"], ids=["cut", "list", "no-schema"])
+@pytest.mark.parametrize("command", [_weight_run, _toy_run], ids=["weight", "toy-validate"])
+def test_cli_refuses_an_out_whose_manifest_cannot_be_read(tmp_path, capsys, command, manifest):
+    argv = command(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "manifest.json").write_text(manifest)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / 'out' / 'manifest.json'}: ")
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
+
+
+def test_cli_toy_validate_names_the_cell_whose_weights_vanish(tmp_path, capsys):
+    out = tmp_path / "toy"
+    assert main(["toy-validate", "--out", str(out), "--m", "1", "--j", "3",
+                 "--replicates", "2"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: prior proposal, histogram estimator, replicate 0 of seed 0: all weights are zero"]
+    assert not out.exists()
 
 
 def test_cli_toy_validate_writes_table(tmp_path):

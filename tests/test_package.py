@@ -237,10 +237,15 @@ def test_toy_reads_step_cdf_only_as_from_samples():
     assert other_reads == []
 
 
+# what only `io` may read: schemas, shard file names and records, manifests, directories
+IO_NAMES = ("SCHEMA_VERSIONS", "SHARD_FILE", "mkdir", "sha256_file", "shard_file", "shard_record",
+            "write_manifest")
+
+
 def test_cli_leaves_file_formats_to_io():
-    # `cli.py` parses arguments and calls the stages; reading and writing
-    # JSON and checksums is `io`'s, so `simulate --resume` compares a shard's
-    # record with the bytes `io.shard_record` gives instead of parsing it
+    # `cli.py` parses arguments and calls the stages; what a run directory
+    # holds is `io`'s: its files' names, JSON and checksums, schemas, shard
+    # records, the manifest and which stale files go, so `cli.py` names no file
     path = Path(maplink.__file__).parent / "cli.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     found = [
@@ -249,7 +254,9 @@ def test_cli_leaves_file_formats_to_io():
         if isinstance(node, ast.Import) and any(a.name in ("json", "hashlib") for a in node.names)
         or isinstance(node, ast.ImportFrom) and node.module in ("json", "hashlib")
         or isinstance(node, (ast.Name, ast.Attribute))
-        and getattr(node, "id", getattr(node, "attr", None)) == "sha256_file"
+        and getattr(node, "id", getattr(node, "attr", None)) in IO_NAMES
+        or isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.endswith((".csv", ".json", ".npy"))
     ]
     assert found == []
 
@@ -260,13 +267,14 @@ def test_cli_leaves_file_formats_to_io():
 TOY_TRACED_CALLS = ("apply_ernd", "integrated_squared_distance", "ks_distance", "select_delta")
 
 
-def test_toy_calls_the_traced_names_by_its_own_names():
-    path = Path(maplink.__file__).parent / "toy.py"
+def _imported_and_called(module: str, sources: tuple[str, ...]) -> set[str]:
+    """The names ``module`` imports unaliased from one of the package's ``sources`` and calls."""
+    path = Path(maplink.__file__).parent / f"{module}.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     imported = {
         alias.name
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "reweight"
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in sources
         for alias in node.names
         if alias.asname is None
     }
@@ -275,4 +283,21 @@ def test_toy_calls_the_traced_names_by_its_own_names():
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     }
-    assert [name for name in TOY_TRACED_CALLS if name not in imported & called] == []
+    return imported & called
+
+
+def test_toy_calls_the_traced_names_by_its_own_names():
+    called = _imported_and_called("toy", ("reweight",))
+    assert [name for name in TOY_TRACED_CALLS if name not in called] == []
+
+
+# the names the tracer swaps in maplink.cli: the stages' compute calls, which
+# stay in `cli.py` while it hands every file to `io`
+CLI_TRACED_CALLS = ("adapt_population_proposal", "pool_and_filter", "project",
+                    "run_scenario", "run_to_equilibrium", "run_toy_experiment", "sample_bank",
+                    "weight_all")
+
+
+def test_cli_calls_the_traced_names_by_its_own_names():
+    called = _imported_and_called("cli", ("pipeline", "proposal", "toy", "transmission"))
+    assert [name for name in CLI_TRACED_CALLS if name not in called] == []

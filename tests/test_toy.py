@@ -232,3 +232,10 @@ def test_cells_match_the_per_cell_reference_runs(delta_policy):
     # the edge settings reach the reports, bar a one-sample pixel against a
     # bank of three, which misses every occupied histogram bin at these seeds
     assert set(reached) == {(300, 200), (1, 300), (2000, 3)}
+
+
+def test_a_degenerate_cell_is_named_with_its_replicate_and_seed():
+    # a one-sample pixel against a bank of three misses every occupied histogram bin
+    with pytest.raises(DegenerateWeightsError, match=r"^prior proposal, histogram estimator, "
+                       r"replicate 0 of seed 0: all weights are zero$"):
+        run_toy_experiment(m=1, j=3, replicates=2, seed=0)
