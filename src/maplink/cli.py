@@ -55,6 +55,7 @@ def _simulate_one(shared, sim_index: int):
 
 def cmd_simulate(args) -> int:
     config = _run_config(args, seed=args.seed)
+    mio.check_run_directory(args.out, "bank")
     params = config.model_params()
     grid = load_vh_k_grid(config.vh_k_grid_path) if config.vh_k_grid_path else default_vh_k_grid()
     population_proposal = adapt_population_proposal(
@@ -112,6 +113,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_weight(args) -> int:
     config = _run_config(args, delta=args.delta, ernd_kind=args.ernd)
+    mio.check_run_directory(args.out, "weights")
     bank, _ = mio.load_simulation_bank(args.bank)
     pixels = mio.load_pixel_posteriors(args.pixels)
     units, excluded = pool_and_filter(pixels, min_population=config.pooling_min_population,
@@ -136,6 +138,7 @@ def cmd_weight(args) -> int:
 
 def cmd_project(args) -> int:
     config = _run_config(args)
+    mio.check_run_directory(args.out, "summary")
     bank, bank_manifest = mio.load_simulation_bank(args.bank)
     weights = mio.load_weights(args.weights)
     scenario_names = mio.project_scenarios(bank_manifest, args.scenario)
@@ -155,6 +158,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_toy_validate(args) -> int:
+    mio.check_run_directory(args.out, "toy_table")
     reports = run_toy_experiment(m=args.m, j=args.j, replicates=args.replicates,
                                  delta_policy=args.delta, seed=args.seed)
     n = args.replicates

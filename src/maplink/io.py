@@ -28,6 +28,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .pipeline import (
+    BankColumnError,
     PixelPosterior,
     PixelWeights,
     PooledUnit,
@@ -43,6 +44,7 @@ __all__ = [
     "RunConfig",
     "SCHEMA_VERSIONS",
     "SHARD_FILE",
+    "check_run_directory",
     "load_manifest",
     "load_pixel_posteriors",
     "load_simulation_bank",
@@ -361,17 +363,15 @@ def load_manifest(directory: Path, verify: bool = True) -> dict:
     return payload
 
 
-def _run_directory(directory: Path, kind: str) -> Path:
-    """``directory``, made if missing, once the manifest it may hold reads as a ``kind`` run's of
-    any version, so a stage never writes into another stage's output but rewrites an older run."""
+def check_run_directory(directory: Path, kind: str) -> None:
+    """Refuse ``directory``, before any compute and making nothing, unless the manifest it may
+    hold is a ``kind`` run's of any version: a stage rewrites its own runs, never another's."""
     directory, stage = Path(directory), SCHEMA_VERSIONS[kind].rpartition(" v")[0]
     if (directory / "manifest.json").exists():
         schema = load_manifest(directory, verify=False).get("schema")
         if str(schema).rpartition(" v")[0] != stage:
             raise ValueError(f"{directory / 'manifest.json'}: schema is {schema!r}, not a "
                              f"{stage!r} run's; write to another --out")
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
 
 
 def _read_checked(path: Path, expected: str | None) -> bytes:
@@ -458,11 +458,6 @@ SHARD_FILE = re.compile("|".join(
     re.escape(name).replace(r"\{index:04d\}", r"\d{4,}").replace(r"\{scenario\}", ".+")
     for name in _SHARD_NAMES.values()
 ))
-_COLUMN_RANGES = {
-    "population": (lambda n: n >= 1, "is below 1"),
-    "proposal_mass": (lambda q: (q > 0) & (q <= 1), "is not a number in (0, 1]"),
-}
-_PREVALENCE = (lambda p: (p >= 0) & (p <= 1), "is not a number in [0, 1]")  # the other columns
 
 
 def shard_file(key: str, index: int) -> str:
@@ -533,7 +528,8 @@ def write_bank_shard(
 
 def start_bank(directory: Path, proposal: TabulatedProposal) -> None:
     """Make ``directory`` for ``simulate`` and write the population ``proposal`` into it."""
-    directory = _run_directory(directory, "bank")
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
     save_population_proposal(directory / "population_proposal.csv", proposal)
 
 
@@ -616,46 +612,35 @@ def _bank_shards(directory: Path, manifest: dict) -> list[dict]:
 def load_simulation_bank(directory: Path) -> tuple[SimulationBank, dict]:
     """Assemble the bank from its shards, in shard order; returns (bank, manifest).
 
-    Each file the manifest lists is read once and checked against its
-    checksum.  A shard's arrays are decoded from the same bytes into arrays
-    of the whole bank; its params table, a record for people, is not parsed.
+    Each file the manifest lists is read once and checked against its checksum.  A column's
+    shard arrays are decoded from the same bytes and joined, populations in their own dtype;
+    params tables, a record for people, are not parsed.  ``SimulationBank`` checks the
+    columns, and a value it refuses is reported with its file and shard.
     """
     directory = Path(directory)
     manifest = load_manifest(directory, verify=False)
     shards = _bank_shards(directory, manifest)
-    j = manifest["j"]
-    columns = {"population": np.empty(j, np.int64), "proposal_mass": np.empty(j),
-               "equilibrium": np.empty(j)}
-    headers, read = {}, set()
-    for shard in shards:
-        start, stop = shard["first_sim_id"], shard["first_sim_id"] + shard["j"]
-        for key, name in sorted(shard["files"].items()):  # key order, as in the manifest
-            if key == "params":
-                continue
-            path, at = directory / name, f"shard {shard['index']}"
-            array = _npy(path, _read_checked(path, manifest["checksums"][name]), headers)
-            read.add(name)
-            if key not in columns:  # a trajectory, as wide as in shard 0
-                columns[key] = np.empty((j,) + array.shape[1:2])
-            target = columns[key]
-            if array.shape != (shard["j"],) + target.shape[1:]:
-                raise ValueError(f"{path}: shape {array.shape}, but {at} "
-                                 f"needs {(shard['j'],) + target.shape[1:]}")
-            if key == "population" and array.dtype.kind == "f":
-                raise ValueError(f"{path}: {at}: holds {array.dtype}, not integers")
-            target[start:stop] = array
-    for key, column in columns.items():  # one check per column: a check per shard costs more
-        valid, fault = _COLUMN_RANGES.get(key, _PREVALENCE)
-        if not (ok := valid(column)).all():
-            where = tuple(np.argwhere(~ok)[0])
-            shard = shards[where[0] // shards[0]["j"]]
-            raise ValueError(f"{directory / shard['files'][key]}: shard {shard['index']}: {key} "
-                             f"{column[where]} of simulation {where[0]} {fault}")
+    columns, headers, read = {}, {}, set()
+    for key in sorted(shards[0]["files"].keys() - {"params"}):  # key order, as in the manifest
+        parts = []
+        for shard in shards:
+            path = directory / shard["files"][key]
+            array = _npy(path, _read_checked(path, manifest["checksums"][path.name]), headers)
+            read.add(path.name)
+            shape = (shard["j"],) + (parts or [array])[0].shape[1:]  # as wide as in shard 0
+            if array.shape != shape:
+                raise ValueError(f"{path}: shape {array.shape}, but shard {shard['index']} "
+                                 f"needs {shape}")
+            parts.append(array)
+        columns[key] = np.concatenate(parts, dtype=None if key == "population" else float)
+    try:
+        bank = SimulationBank(columns.pop("population"), columns.pop("proposal_mass"),
+                              columns.pop("equilibrium"), {k[5:]: a for k, a in columns.items()})
+    except BankColumnError as err:
+        shard = shards[err.simulation // shards[0]["j"]]
+        raise ValueError(f"{directory / shard['files'][err.column]}: shard {shard['index']}: "
+                         f"{err}") from None
     _check_unread(directory, manifest, read)
-    bank = SimulationBank(populations=columns.pop("population"),
-                          population_proposal_mass=columns.pop("proposal_mass"),
-                          equilibrium_prevalence=columns.pop("equilibrium"),
-                          trajectories={key[5:]: array for key, array in columns.items()})
     return bank, manifest
 
 
@@ -748,7 +733,7 @@ def write_weight_run(directory: Path, bank: Path, pixels: Path, units: Sequence[
                      warnings: Sequence[str], config: RunConfig) -> None:
     """Make ``directory`` and write ``weight``'s files and manifest: the ``weights`` of ``units``
     against ``bank``, the pixels ``excluded`` as above the maximum population, the ``warnings``."""
-    directory = _run_directory(directory, "weights")
+    directory = Path(directory)
     save_weights(directory, units, weights)
     _write_table(directory / "excluded_pixels.csv", "excluded", ["pixel_id"],
                  ([pixel_id] for pixel_id in excluded))
@@ -870,7 +855,8 @@ def write_project_run(directory: Path, bank_path: Path, weights_path: Path,
     A ``summary_<scenario>.csv`` of a scenario not in ``summaries``, left by an
     earlier run, is deleted, so the manifest lists only this run's scenarios.
     """
-    directory = _run_directory(directory, "summary")
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
     written = {f"summary_{scenario}.csv": rows for scenario, rows in summaries.items()}
     for name, rows in written.items():
         write_summary_csv(directory / name, rows)
@@ -905,7 +891,8 @@ def write_toy_run(directory: Path, rows: Sequence[dict], reports: Sequence[ToyEx
                   seed: int, m: int, j: int, replicates: int) -> None:
     """Make ``directory`` and write ``toy-validate``'s table, one row per ``summarize_reports`` cell
     in ``rows``, its ``reports`` (``delta`` empty where no window was used) and manifest."""
-    directory = _run_directory(directory, "toy_table")
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
     _write_table(directory / "toy_table.csv", "toy_table",
                  ["proposal", "ernd"] + [f"{b}_{q}" for b, q in _TOY_COLUMNS],
                  ([row["proposal"], row["ernd"]] + [_fmt(row[b][q]) for b, q in _TOY_COLUMNS]

@@ -23,6 +23,7 @@ if TYPE_CHECKING:  # io imports this module
     from .io import RunConfig
 
 __all__ = [
+    "BankColumnError",
     "PixelPosterior",
     "PixelWeights",
     "PooledUnit",
@@ -43,6 +44,24 @@ QUANTILE_LEVELS = (0.025, 0.5, 0.975)
 SPARSE_THRESHOLD = 1e-12
 
 
+# the rule on each bank column, by its manifest name, and its fault; the rest hold prevalences
+_RULES = {
+    "population": (lambda n: n >= 1, "is below 1"),
+    "proposal_mass": (lambda q: (q > 0.0) & (q <= 1.0), "is not a number in (0, 1]"),
+    "prevalence": (lambda p: (p >= 0.0) & (p <= 1.0), "is not a number in [0, 1]"),
+}
+
+
+def _samples(samples, owner: str) -> np.ndarray:
+    """``samples`` as floats, once they are a 1-d array of at least one prevalence."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 1 or samples.size == 0:
+        raise ValueError(f"{owner}: need at least one posterior sample")
+    if not np.all(_RULES["prevalence"][0](samples)):
+        raise ValueError(f"{owner}: posterior samples must lie in [0, 1]")
+    return samples
+
+
 @dataclass(frozen=True)
 class PixelPosterior:
     """Map-posterior prevalence samples and metadata for one pixel."""
@@ -53,14 +72,9 @@ class PixelPosterior:
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValueError(f"pixel {self.pixel_id}: need at least one posterior sample")
-        if not np.all((samples >= 0.0) & (samples <= 1.0)):
-            raise ValueError(f"pixel {self.pixel_id}: posterior samples must lie in [0, 1]")
+        object.__setattr__(self, "samples", _samples(self.samples, f"pixel {self.pixel_id}"))
         if not 0.0 <= self.population < np.inf:
             raise ValueError(f"pixel {self.pixel_id}: population must be finite and non-negative")
-        object.__setattr__(self, "samples", samples)
 
 
 @dataclass(frozen=True)
@@ -73,6 +87,9 @@ class PooledUnit:
     population: float
     samples: np.ndarray
     undersized: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "samples", _samples(self.samples, f"unit {self.unit_id}"))
 
 
 def pool_and_filter(
@@ -97,56 +114,47 @@ def pool_and_filter(
     units: list[PooledUnit] = []
     for country in sorted({p.country for p in keep}):
         in_country = [p for p in keep if p.country == country]
-        for pixel in in_country:
-            if pixel.population >= min_population:
-                units.append(
-                    PooledUnit(
-                        unit_id=pixel.pixel_id,
-                        country=country,
-                        member_pixel_ids=(pixel.pixel_id,),
-                        population=pixel.population,
-                        samples=pixel.samples,
-                    )
-                )
-        small = sorted(
-            (p for p in in_country if p.population < min_population),
-            key=lambda p: (-p.population, p.pixel_id),
-        )
+        units += [PooledUnit(p.pixel_id, country, (p.pixel_id,), p.population, p.samples)
+                  for p in in_country if p.population >= min_population]
+        small = sorted((p for p in in_country if p.population < min_population),
+                       key=lambda p: (-p.population, p.pixel_id))
         while small:
             group = [small.pop(0)]
             total = group[0].population
             while total < min_population and small:
                 group.append(small.pop(0))
                 total += group[-1].population
-            m_sizes = {p.samples.size for p in group}
-            if len(m_sizes) != 1:
-                raise ValueError("pooled pixels must share the posterior sample count")
+            members = tuple(p.pixel_id for p in group)
+            named = f"country {country}: pooled pixels {', '.join(members)}"
+            if len({p.samples.size for p in group}) != 1:
+                raise ValueError(f"{named} must share the posterior sample count")
             weights = np.array([p.population for p in group])
             if weights.sum() <= 0.0:
-                raise ValueError("pooled pixels must have positive total population")
-            stacked = np.stack([p.samples for p in group])
-            pooled = weights @ stacked / weights.sum()
-            members = tuple(p.pixel_id for p in group)
-            units.append(
-                PooledUnit(
-                    unit_id=members[0] if len(members) == 1 else "+".join(members),
-                    country=country,
-                    member_pixel_ids=members,
-                    population=total,
-                    samples=pooled,
-                    undersized=total < min_population,
-                )
-            )
+                raise ValueError(f"{named} must have positive total population")
+            # an average of prevalences, kept from rounding a last bit above 1
+            pooled = np.minimum(weights @ np.stack([p.samples for p in group]) / weights.sum(), 1.0)
+            units.append(PooledUnit(members[0] if len(members) == 1 else "+".join(members),
+                                    country, members, total, pooled,
+                                    undersized=total < min_population))
     return units, excluded
+
+
+class BankColumnError(ValueError):
+    """A bank ``column`` breaks its rule, first at ``simulation``, as ``message`` says."""
+
+    def __init__(self, column: str, simulation: int, message: str):
+        super().__init__(message)
+        self.column, self.simulation = column, simulation
 
 
 @dataclass(frozen=True)
 class SimulationBank:
     """Read-only columnar view of the J simulations shared by all pixels.
 
-    What every pixel derives from the bank alone, the estimator's prepared
-    prevalences and the sorted trajectory columns, is built on first use and
-    kept here.
+    Every column rule of the bank is checked here, for banks read from disk
+    and built in code alike.  What every pixel derives from the bank alone,
+    the estimator's prepared prevalences and the sorted trajectory columns,
+    is built on first use and kept here.
     """
 
     populations: np.ndarray
@@ -154,29 +162,29 @@ class SimulationBank:
     equilibrium_prevalence: np.ndarray
     trajectories: dict[str, np.ndarray] = field(default_factory=dict)
     _trajectory_orders: dict[str, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+        default_factory=dict, init=False, repr=False, compare=False)
     _prepared: dict[tuple, PreparedErnd] = field(  # the last setting asked for only
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         j = self.populations.size
-        for name in ("population_proposal_mass", "equilibrium_prevalence"):
-            if getattr(self, name).shape != (j,):
-                raise ValueError(f"{name} must have one entry per simulation")
-        if not np.all((self.equilibrium_prevalence >= 0) & (self.equilibrium_prevalence <= 1)):
-            raise ValueError("equilibrium prevalences must lie in [0, 1]")
-        bad = ~((self.population_proposal_mass > 0.0) & (self.population_proposal_mass < np.inf))
-        if bad.any():
-            i = int(bad.argmax())
-            raise ValueError(f"population proposal mass must be positive and finite at every "
-                             f"draw; draw {i} has {float(self.population_proposal_mass[i])}")
-        for name, traj in self.trajectories.items():
-            if traj.ndim != 2 or traj.shape[0] != j:
-                raise ValueError(f"trajectory {name!r} must be (J, years+1)")
-            if not np.all((traj >= 0) & (traj <= 1)):
-                raise ValueError(f"trajectory {name!r}: prevalences must lie in [0, 1]")
+        columns = {"population": self.populations, "proposal_mass": self.population_proposal_mass,
+                   "equilibrium": self.equilibrium_prevalence,
+                   **{f"traj_{name}": traj for name, traj in self.trajectories.items()}}
+        for column, values in columns.items():
+            wide = column.startswith("traj_")
+            if values.shape[:1] != (j,) or values.ndim != 1 + wide:
+                raise BankColumnError(column, 0, f"{column} has shape {values.shape}, expected "
+                                                 f"{'(J, years+1)' if wide else '(J,)'}, J = {j}")
+            valid, fault = _RULES.get(column, _RULES["prevalence"])
+            if column == "population" and values.dtype.kind not in "iu":  # at its first fraction
+                first = np.argmin(values == np.trunc(values)) if values.dtype.kind == "f" else 0
+                valid, fault = lambda n: np.arange(j) < first, f"is {values.dtype}, not an integer"
+            ok = valid(values)
+            if not ok.all():
+                where = np.unravel_index(int(np.argmin(ok)), ok.shape)
+                raise BankColumnError(column, int(where[0]), f"{column} {values[where]} of "
+                                                             f"simulation {where[0]} {fault}")
 
     @property
     def size(self) -> int:

@@ -1,6 +1,7 @@
 """Tests for file schemas, manifests, configuration and the CLI chain."""
 
 import csv
+import dataclasses
 import json
 import re
 import warnings
@@ -948,7 +949,7 @@ def _rename_the_ess_column(path):
     ("weight", "bank/population_s0000.npy", _rewrite_array(lambda a: a[:-1]),
      ": shape (3,), but shard 0 needs (4,)"),
     ("weight", "bank/population_s0000.npy", _rewrite_array(lambda a: a + 0.5),
-     ": shard 0: holds float64, not integers"),
+     ": shard 0: population 306.5 of simulation 0 is float64, not an integer"),
     ("weight", "bank/proposal_mass_s0000.npy", _rewrite_array(lambda a: a * np.nan),
      ": shard 0: proposal_mass nan of simulation 0 is not a number in (0, 1]"),
     ("weight", "bank/population_s0000.npy", _rewrite_array(lambda a: np.where(a == a[1], 0, a)),
@@ -1104,6 +1105,42 @@ def test_cli_weight_refuses_a_malformed_bank_naming_directory_and_shard(tmp_path
     assert not out.exists()
 
 
+# a value put at simulation 5, the second of shard 1 (shards of 4), and the refusal it gets
+@pytest.mark.parametrize("key, value, fault", [
+    ("population", 0, "population 0 of simulation 5 is below 1"),
+    ("population", 300.5, "population 300.5 of simulation 5 is float64, not an integer"),
+    ("proposal_mass", 1.5, "proposal_mass 1.5 of simulation 5 is not a number in (0, 1]"),
+    ("proposal_mass", 0.0, "proposal_mass 0.0 of simulation 5 is not a number in (0, 1]"),
+    ("proposal_mass", np.nan, "proposal_mass nan of simulation 5 is not a number in (0, 1]"),
+    ("equilibrium", -0.25, "equilibrium -0.25 of simulation 5 is not a number in [0, 1]"),
+    ("equilibrium", np.nan, "equilibrium nan of simulation 5 is not a number in [0, 1]"),
+    ("traj_aMDA65", 1.5, "traj_aMDA65 1.5 of simulation 5 is not a number in [0, 1]"),
+], ids=["population-0", "population-fraction", "mass-above-1", "mass-0", "mass-nan",
+        "equilibrium-negative", "equilibrium-nan", "trajectory-above-1"])
+def test_a_bank_column_rule_refuses_the_same_fault_in_memory_and_on_disk(tmp_path, key, value,
+                                                                         fault):
+    bank_dir = tmp_path / "bank"
+    main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(bank_dir)])
+    bank, manifest = mio.load_simulation_bank(bank_dir)
+    fields = {"population": "populations", "proposal_mass": "population_proposal_mass",
+              "equilibrium": "equilibrium_prevalence"}
+    old = bank.trajectories[key[5:]] if key.startswith("traj_") else getattr(bank, fields[key])
+    column = old.astype(np.result_type(old, value))  # a fraction makes populations floats
+    column[5] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+        if key.startswith("traj_"):
+            SimulationBank(bank.populations, bank.population_proposal_mass,
+                           bank.equilibrium_prevalence, {**bank.trajectories, key[5:]: column})
+        else:
+            dataclasses.replace(bank, **{fields[key]: column})
+
+    path = bank_dir / manifest["shards"][1]["files"][key]
+    np.save(path, column[4:8])
+    _refresh_checksums(bank_dir)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: shard 1: {fault}')}$"):
+        mio.load_simulation_bank(bank_dir)
+
+
 def test_cli_project_refuses_a_trajectory_that_is_not_a_prevalence(tmp_path, capsys):
     config = write_config(tmp_path)
     bank_dir = tmp_path / "bank"
@@ -1209,6 +1246,55 @@ def test_cli_refuses_an_out_whose_manifest_cannot_be_read(tmp_path, capsys, comm
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / 'out' / 'manifest.json'}: ")
     assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
+
+
+def _computes_nothing(*args, **kwargs):
+    raise AssertionError("computed before --out was checked")
+
+
+@pytest.mark.parametrize("argv, compute, found", [
+    (["simulate", "--config", "{tmp}/config.json"], (cli, "adapt_population_proposal"),
+     "schema is 'maplink/toy-table v1', not a 'maplink/bank' run's"),
+    (["weight", "--config", "{tmp}/config.json", "--bank", "{tmp}/bank", "--pixels",
+      "{tmp}/pixels.csv"], (mio, "load_simulation_bank"),
+     "schema is 'maplink/toy-table v1', not a 'maplink/weights' run's"),
+    (["project", "--config", "{tmp}/config.json", "--bank", "{tmp}/bank", "--weights",
+      "{tmp}/weights"], (mio, "load_simulation_bank"),
+     "schema is 'maplink/toy-table v1', not a 'maplink/summary' run's"),
+    (["toy-validate"], (cli, "run_toy_experiment"),
+     "schema is 'maplink/weights v1', not a 'maplink/toy-table' run's"),
+], ids=["simulate", "weight", "project", "toy-validate"])
+def test_cli_checks_out_before_it_computes_anything(tmp_path, capsys, monkeypatch, argv, compute,
+                                                    found):
+    write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    schema = "maplink/weights v1" if argv[0] == "toy-validate" else "maplink/toy-table v1"
+    mio.write_manifest(out, {"schema": schema})
+    before = read_all_bytes(out)
+    monkeypatch.setattr(*compute, _computes_nothing)
+    capsys.readouterr()
+    assert main([arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {out / 'manifest.json'}: {found}; write to another --out"]
+    assert read_all_bytes(out) == before
+
+
+def test_cli_weight_names_the_pixels_of_a_pool_without_population(tmp_path, capsys):
+    config = write_config(tmp_path)
+    bank_dir = tmp_path / "bank"
+    main(["simulate", "--config", str(config), "--out", str(bank_dir)])
+    pixels = tmp_path / "pixels.csv"
+    mio.save_pixel_posteriors(pixels, [
+        PixelPosterior(pixel_id=p, country="KE", population=n, samples=np.full(5, 0.3))
+        for p, n in (("p0", 0.0), ("p1", 400.0), ("p2", 0.0))])
+    capsys.readouterr()
+    out = tmp_path / "weights"
+    assert main(["weight", "--config", str(config), "--bank", str(bank_dir),
+                 "--pixels", str(pixels), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: country KE: pooled pixels p0, p2 must have positive total population"]
+    assert not out.exists()
 
 
 def test_cli_toy_validate_names_the_cell_whose_weights_vanish(tmp_path, capsys):

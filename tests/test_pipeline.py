@@ -110,6 +110,40 @@ def test_pooling_groups_as_small_as_possible():
     ]
 
 
+def test_pooling_names_the_country_and_pixels_of_a_pool_it_refuses():
+    with pytest.raises(ValueError, match="^country KE: pooled pixels a, b must have positive "
+                                         "total population$"):
+        pool_and_filter([make_pixel("a", population=0.0), make_pixel("b", population=0.0)])
+    with pytest.raises(ValueError, match="^country KE: pooled pixels a, b must share the "
+                                         "posterior sample count$"):
+        pool_and_filter([make_pixel("a", population=100.0, samples=np.full(3, 0.2)),
+                         make_pixel("b", population=100.0, samples=np.full(4, 0.2))])
+
+
+@pytest.mark.parametrize("samples, fault", [
+    (np.array([0.2, np.nan, 0.3]), "posterior samples must lie in [0, 1]"),
+    (np.array([0.2, 1.7, 0.3]), "posterior samples must lie in [0, 1]"),
+    (np.array([[0.2, 0.3]]), "need at least one posterior sample"),
+    (np.array([]), "need at least one posterior sample"),
+], ids=["nan", "above-1", "two-dimensional", "empty"])
+def test_a_pooled_unit_refuses_the_samples_a_pixel_refuses(samples, fault):
+    # a unit built in code reaches the estimators without passing a PixelPosterior
+    with pytest.raises(ValueError, match=f"^{re.escape('pixel x: ' + fault)}$"):
+        PixelPosterior(pixel_id="x", country="KE", population=500.0, samples=samples)
+    with pytest.raises(ValueError, match=f"^{re.escape('unit x: ' + fault)}$"):
+        PooledUnit(unit_id="x", country="KE", member_pixel_ids=("x",), population=500.0,
+                   samples=samples)
+
+
+def test_pooling_keeps_an_average_of_prevalences_within_0_and_1():
+    # the population-weighted average of samples at 1 can round a last bit above 1
+    populations = (52.4, 30.7, 30.3, 26.6, 23.6, 13.2)
+    pixels = [make_pixel(p, population=n, samples=np.ones(4))
+              for p, n in zip("abcdef", populations)]
+    (unit,), _ = pool_and_filter(pixels)
+    assert unit.member_pixel_ids == tuple("abcdef") and np.all(unit.samples == 1.0)
+
+
 # --- stage-1 weights -----------------------------------------------------------
 
 def test_stage1_population_weights_formula():
@@ -125,14 +159,14 @@ def test_simulation_bank_rejects_zero_proposal_mass():
     bank = make_bank(j=10)
     mass = bank.population_proposal_mass.copy()
     mass[3] = 0.0
-    with pytest.raises(ValueError, match="proposal mass"):
+    with pytest.raises(ValueError, match="^proposal_mass 0.0 of simulation 3 "):
         dataclasses.replace(bank, population_proposal_mass=mass)
 
 
 @pytest.mark.parametrize("mass", [np.inf, np.nan])
 def test_simulation_bank_rejects_a_proposal_mass_that_is_not_finite(mass):
     # an infinite mass would silently give its draw zero stage-1 weight
-    with pytest.raises(ValueError, match="proposal mass .* draw 0 has"):
+    with pytest.raises(ValueError, match=f"^proposal_mass {mass} of simulation 0 "):
         SimulationBank(populations=np.array([300, 400]),
                        population_proposal_mass=np.array([mass, 0.5]),
                        equilibrium_prevalence=np.array([0.1, 0.2]))
@@ -142,7 +176,7 @@ def test_simulation_bank_rejects_nan_prevalence():
     bank = make_bank(j=10)
     prevalence = bank.equilibrium_prevalence.copy()
     prevalence[3] = np.nan
-    with pytest.raises(ValueError, match="equilibrium prevalences"):
+    with pytest.raises(ValueError, match="^equilibrium nan of simulation 3 "):
         dataclasses.replace(bank, equilibrium_prevalence=prevalence)
 
 
@@ -152,8 +186,29 @@ def test_simulation_bank_rejects_a_trajectory_value_that_is_not_a_prevalence(val
     make_bank(j=10, trajectories={"none": traj, "aMDA65": traj})
     bad = traj.copy()
     bad[4, 1] = value
-    with pytest.raises(ValueError, match="^trajectory 'aMDA65': "):
+    with pytest.raises(ValueError, match="^traj_aMDA65 .* of simulation 4 "):
         make_bank(j=10, trajectories={"none": traj, "aMDA65": bad})
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"populations": np.array([300, 0, 400])}, "population 0 of simulation 1 is below 1"),
+    ({"populations": np.array([300.0, 400.5, 500.0])},
+     "population 400.5 of simulation 1 is float64, not an integer"),
+    ({"populations": np.array([300.0, 400.0, 500.0])},
+     "population 300.0 of simulation 0 is float64, not an integer"),
+    ({"population_proposal_mass": np.array([0.5, 0.25, 1.5])},
+     "proposal_mass 1.5 of simulation 2 is not a number in (0, 1]"),
+    ({"trajectories": {"none": np.full(3, 0.5)}},
+     "traj_none has shape (3,), expected (J, years+1), J = 3"),
+], ids=["population-0", "population-fraction", "population-float", "mass-above-1",
+        "trajectory-one-dimensional"])
+def test_simulation_bank_refuses_what_the_bank_loader_refuses(change, message):
+    columns = {"populations": np.array([300, 400, 500]),
+               "population_proposal_mass": np.full(3, 0.5),
+               "equilibrium_prevalence": np.array([0.1, 0.2, 0.3])}
+    SimulationBank(**columns)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SimulationBank(**{**columns, **change})
 
 
 # --- weighting -----------------------------------------------------------------

@@ -134,10 +134,10 @@ def banks_and_pixels(draw):
     j = draw(st.integers(3, 200))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # w1 = prior / proposal mass, so proposal masses spread over 300 decades
-    # make w1 span 1e-300 to 1 and exercise the directly summed windows
+    # of (0, 1] make w1 span 300 decades and exercise the directly summed windows
     bank = SimulationBank(
         populations=rng.integers(200, 2000, size=j),
-        population_proposal_mass=10.0 ** rng.uniform(0.0, 300.0, size=j),
+        population_proposal_mass=10.0 ** -rng.uniform(0.0, 300.0, size=j),
         equilibrium_prevalence=rng.integers(0, GRID + 1, size=j) / GRID,
         trajectories={name: rng.integers(0, GRID + 1, size=(j, 4)) / GRID
                       for name in ("none", "mda")},
